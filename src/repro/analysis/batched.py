@@ -33,41 +33,25 @@ floating-point accumulation order for move and adjacency weights
 The equivalence is enforced on mibench, a 200-function fuzz corpus and
 hypothesis-generated programs by ``tests/test_batched_analysis.py``,
 and re-checked (with the speedup floor) by
-``benchmarks/test_analysis_speed.py``.
-
-Set ``REPRO_NO_ANALYSIS_VECTOR=1`` to force the reference engines (the
-same escape hatch shape as ``REPRO_NO_SIM_VECTOR``); without numpy the
-reference engines are used automatically.
+``benchmarks/test_analysis_speed.py``.  These kernels are the only
+production engines; the reference builders are oracles.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.columnar import ColumnarFunction, columnar_view
 from repro.ir.function import Function
-from repro.ir.trace import numpy_or_none
+from repro.ir.trace import lazy_numpy
 
 __all__ = [
-    "vectors_enabled",
     "batched_liveness",
     "liveness_one",
     "interference_one",
     "adjacency_one",
     "prewarm_corpus",
 ]
-
-
-def vectors_enabled() -> bool:
-    """Whether the vectorized analysis path is active.
-
-    Checked at call time (like the sim layer's ``REPRO_NO_SIM_VECTOR``)
-    so tests and benchmarks can flip the environment variable without
-    re-importing anything.
-    """
-    return (os.environ.get("REPRO_NO_ANALYSIS_VECTOR") != "1"
-            and numpy_or_none() is not None)
 
 
 def _bases(sizes: List[int]) -> List[int]:
@@ -395,15 +379,12 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
 
 def liveness_one(fn: Function, fp: Optional[Tuple] = None):
     """Vectorized :class:`LivenessInfo` of one function (a corpus of
-    one), or ``None`` when numpy is unavailable.  Callers memoize."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    one).  Callers memoize."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
-    infos, _ = _liveness_kernel([columnar_view(fn, fp)], np, [fp])
+    infos, _ = _liveness_kernel([columnar_view(fn, fp)], lazy_numpy(), [fp])
     return infos[0]
 
 
@@ -413,18 +394,13 @@ def batched_liveness(fns: Sequence[Function]) -> List:
     Returns :class:`LivenessInfo` objects aligned with ``fns`` and
     populates the analysis cache, so subsequent ``compute_liveness``
     calls on the same functions hit.  Functions already cached keep
-    their cached result and are excluded from the stack.  Falls back to
-    per-function :func:`compute_liveness` when the vector path is off.
+    their cached result and are excluded from the stack.
     """
     from repro.analysis.cache import fingerprint_function
-    from repro.analysis.liveness import compute_liveness
 
     fns = list(fns)
-    np = numpy_or_none()
-    if np is None or not vectors_enabled():
-        return [compute_liveness(fn) for fn in fns]
     return _batched_liveness(fns, [fingerprint_function(fn) for fn in fns],
-                             np)
+                             lazy_numpy())
 
 
 def _batched_liveness(fns: List[Function], fps: List[Tuple], np) -> List:
@@ -664,15 +640,12 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
 
 def interference_one(fn: Function, freq: Optional[Dict[str, float]],
                      cls: str, fp: Optional[Tuple] = None):
-    """Vectorized interference graph of one function, or ``None``
-    without numpy."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    """Vectorized interference graph of one function."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
+    np = lazy_numpy()
     v = columnar_view(fn, fp)
     bits = _live_bits(fn, v, fp, np)
     return _interference_kernel([v], [bits], [freq], cls, np)[0]
@@ -842,17 +815,13 @@ def _adjacency_kernel(views: Sequence[ColumnarFunction], order: str,
 def adjacency_one(fn: Function, order: str, cls: str,
                   freq: Optional[Mapping[str, float]],
                   fp: Optional[Tuple] = None):
-    """Vectorized adjacency graph of one function, or ``None`` without
-    numpy."""
-    np = numpy_or_none()
-    if np is None:
-        return None
+    """Vectorized adjacency graph of one function."""
     from repro.analysis.cache import fingerprint_function
 
     if fp is None:
         fp = fingerprint_function(fn)
     return _adjacency_kernel([columnar_view(fn, fp)], order, cls, [freq],
-                             np)[0]
+                             lazy_numpy())[0]
 
 
 # ----------------------------------------------------------------------
@@ -868,16 +837,15 @@ def prewarm_corpus(fns: Sequence[Function], cls: str = "int",
     Liveness runs as one stacked fixed point over the whole batch;
     interference (``freq=None`` — the graph the allocator's first
     iteration asks for) reuses each function's live-out bitsets in a
-    second corpus pass.  A no-op when the vector path is disabled: the
-    reference engines fill the same cache lazily.
+    second corpus pass.
     """
     from repro.analysis.cache import (MISSING, fingerprint_function,
                                       memoize_analysis, peek_analysis)
 
     fns = list(fns)
-    np = numpy_or_none()
-    if not fns or np is None or not vectors_enabled():
+    if not fns:
         return 0
+    np = lazy_numpy()
     fps = [fingerprint_function(fn) for fn in fns]
     _batched_liveness(fns, fps, np)
     if interference:

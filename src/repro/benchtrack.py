@@ -528,13 +528,10 @@ def bench_analysis(n_workloads: int = 0, cls: str = "int",
     from repro.analysis.interference import _build_interference_ref
     from repro.analysis.liveness import _compute_liveness
     from repro.ir.columnar import ColumnarFunction
-    from repro.ir.trace import numpy_or_none
+    from repro.ir.trace import lazy_numpy
     from repro.workloads import MIBENCH
 
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError("bench-analysis needs numpy (the vectorized "
-                           "side has nothing to run without it)")
+    np = lazy_numpy()
 
     workloads = MIBENCH[:n_workloads] if n_workloads else list(MIBENCH)
     fns = [w.function() for w in workloads]

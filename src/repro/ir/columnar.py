@@ -24,9 +24,7 @@ of object references):
   access;
 * **per-block columns** — ``block_start``/``block_len`` instruction
   ranges in layout order, plus the CFG as CSR successor/predecessor
-  arrays (built from :meth:`Function.cfg`, preserving its edge order)
-  and the reverse postorder from :func:`repro.analysis.dataflow.
-  reverse_postorder`;
+  arrays (built from :meth:`Function.cfg`, preserving its edge order);
 * **per-instruction columns** — opcode code (the shared
   :data:`repro.ir.trace.OP_CODE` numbering), owning block id, ``uid``,
   and CSR def/use/access-field register lists.
@@ -41,9 +39,9 @@ Views are immutable and memoized on the analysis cache's structural
 fingerprint (:func:`repro.analysis.cache.fingerprint_function`), so the
 batched analyses (:mod:`repro.analysis.batched`), repeated pipeline
 stages and corpus sweeps share one derivation per structural function.
-Columns are numpy arrays when numpy is available and plain lists
-otherwise — the object-walking reference engines remain the fallback
-when it is not.
+Columns are numpy arrays (numpy comes from
+:func:`repro.ir.trace.lazy_numpy`); the object-walking builders of the
+analysis modules are the batched kernels' oracles.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instr import ALU_REG_OPS, Instr, Reg
-from repro.ir.trace import OP_CODE, numpy_or_none
+from repro.ir.trace import OP_CODE, lazy_numpy
 
 __all__ = ["ColumnarFunction", "columnar_view"]
 
@@ -74,7 +72,7 @@ def _alu_mask(np):
 class ColumnarFunction:
     """Read-only flat-column view of one function.
 
-    Attributes (``np.ndarray`` when numpy is available):
+    Attributes (columns are ``np.ndarray``):
 
     * ``fn`` — the source function (the view keeps it alive; analysis
       results reference its ``Reg`` objects and block names).
@@ -85,8 +83,6 @@ class ColumnarFunction:
     * ``block_start`` / ``block_len`` — per-block instruction ranges.
     * ``succ_off``/``succ`` and ``pred_off``/``pred`` — CFG as CSR over
       block ids, edge order identical to :meth:`Function.cfg`.
-    * ``rpo`` — block ids in reverse postorder (dataflow iteration
-      order); ``postorder_rank[b]`` is ``b``'s position in postorder.
     * ``op`` / ``block_of_instr`` / ``uid`` — per-instruction columns.
     * ``def_off``/``def_reg``, ``use_off``/``use_reg`` — CSR register
       lists per instruction (local indices into ``regs``).
@@ -105,12 +101,12 @@ class ColumnarFunction:
         "op", "block_of_instr", "uid", "def_off", "def_reg", "def_cnt",
         "use_off", "use_reg", "field_off", "field_reg", "has_dst",
         "two_address", "is_move", "move_src", "move_dst",
-        "_field_orders", "_cls_nodes", "_cls_seeds", "_rpo", "_reg_sets",
+        "_field_orders", "_cls_nodes", "_cls_seeds", "_reg_sets",
         "_byte_sets", "_move_canon", "_use_cnt", "_succ_cnt", "_use_defs",
     )
 
     def __init__(self, fn: Function) -> None:
-        np = numpy_or_none()
+        np = lazy_numpy()
         self.fn = fn
         self.np = np
 
@@ -210,7 +206,6 @@ class ColumnarFunction:
         self._field_orders: Dict[Tuple[str, str], object] = {}
         self._cls_nodes: Dict[str, List[Reg]] = {}
         self._cls_seeds: Dict[str, dict] = {}
-        self._rpo = None
         self._reg_sets = None
         self._byte_sets: Dict[int, frozenset] = {}
         self._move_canon = None
@@ -222,36 +217,6 @@ class ColumnarFunction:
         self._use_defs = None
 
         mov_code = OP_CODE["mov"]
-        if np is None:
-            self.reg_cls = reg_cls
-            self.block_start = [0] * len(block_len)
-            for i in range(1, len(block_len)):
-                self.block_start[i] = (self.block_start[i - 1]
-                                       + block_len[i - 1])
-            self.block_len = block_len
-            self.succ_off, self.succ = succ_off, succ
-            self.pred_off, self.pred = pred_off, pred
-            self.op, self.uid = op, uid
-            self.block_of_instr = [b for b, n in enumerate(block_len)
-                                   for _ in range(n)]
-            self.def_off, self.def_reg = def_off, def_reg
-            self.def_cnt = [def_off[i + 1] - def_off[i]
-                            for i in range(index)]
-            self.use_off, self.use_reg = use_off, use_reg
-            self.field_off, self.field_reg = field_off, field_reg
-            self.has_dst = has_dst
-            alu_codes = {OP_CODE[o] for o in ALU_REG_OPS}
-            self.two_address = [
-                has_dst[i] and op[i] in alu_codes
-                and field_reg[field_off[i]] == field_reg[field_off[i + 1] - 1]
-                for i in range(index)]
-            self.is_move = [c == mov_code for c in op]
-            self.move_dst = [def_reg[def_off[i]] if op[i] == mov_code
-                             else -1 for i in range(index)]
-            self.move_src = [use_reg[use_off[i]] if op[i] == mov_code
-                             else -1 for i in range(index)]
-            return
-
         i64 = np.int64
         self.reg_cls = np.asarray(reg_cls, dtype=i64)
         blen = np.asarray(block_len, dtype=i64)
@@ -308,49 +273,16 @@ class ColumnarFunction:
     # derived columns
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _rank_list(rpo: List[int]) -> List[int]:
-        """``postorder_rank[b]``: blocks late in reverse postorder have
-        low rank — the order a backward sweep should visit them in."""
-        rank = [0] * len(rpo)
-        n = len(rpo)
-        for pos, b in enumerate(rpo):
-            rank[b] = n - 1 - pos
-        return rank
-
     @property
     def n_regs(self) -> int:
         return len(self.regs)
-
-    @property
-    def rpo(self):
-        """Block ids in reverse postorder (dataflow iteration order),
-        derived lazily — the batched analyses no longer need it."""
-        if self._rpo is None:
-            from repro.analysis.dataflow import reverse_postorder
-
-            block_id = {b.name: i for i, b in enumerate(self.fn.blocks)}
-            rpo = [block_id[name] for name in reverse_postorder(self.fn)]
-            self._rpo = rpo if self.np is None \
-                else self.np.asarray(rpo, dtype=self.np.int64)
-        return self._rpo
-
-    @property
-    def postorder_rank(self):
-        """``postorder_rank[b]``: position of ``b`` in postorder."""
-        rpo = self.rpo
-        rank = self._rank_list(list(rpo) if self.np is None
-                               else rpo.tolist())
-        return rank if self.np is None \
-            else self.np.asarray(rank, dtype=self.np.int64)
 
     @property
     def use_cnt(self):
         """Uses per instruction (``diff`` of :attr:`use_off`), cached."""
         if self._use_cnt is None:
             off = self.use_off
-            self._use_cnt = (self.np.diff(off) if self.np is not None
-                             else [b - a for a, b in zip(off, off[1:])])
+            self._use_cnt = self.np.diff(off)
         return self._use_cnt
 
     @property
@@ -358,8 +290,7 @@ class ColumnarFunction:
         """Successors per block (``diff`` of :attr:`succ_off`), cached."""
         if self._succ_cnt is None:
             off = self.succ_off
-            self._succ_cnt = (self.np.diff(off) if self.np is not None
-                              else [b - a for a, b in zip(off, off[1:])])
+            self._succ_cnt = self.np.diff(off)
         return self._succ_cnt
 
     @property
@@ -465,8 +396,7 @@ class ColumnarFunction:
             regs = self.regs
             lo: List[int] = []
             hi: List[int] = []
-            rows = np.nonzero(self.is_move)[0].tolist() if np is not None \
-                else [i for i, m in enumerate(self.is_move) if m]
+            rows = np.nonzero(self.is_move)[0].tolist()
             for i in rows:
                 d = int(self.move_dst[i])
                 s = int(self.move_src[i])
@@ -479,10 +409,8 @@ class ColumnarFunction:
                 else:
                     lo.append(s)
                     hi.append(d)
-            if np is not None:
-                lo = np.asarray(lo, dtype=np.int64)
-                hi = np.asarray(hi, dtype=np.int64)
-            canon = (lo, hi)
+            canon = (np.asarray(lo, dtype=np.int64),
+                     np.asarray(hi, dtype=np.int64))
             self._move_canon = canon
         return canon
 
@@ -496,12 +424,10 @@ class ColumnarFunction:
         ``dst_first`` hoists the destination field to the front of its
         instruction, ``two_address`` drops the destination field of
         collapsed THUMB forms (its register equals the first source, so
-        the remaining fields are exactly ``dst, src2``).  Requires
-        numpy; results are memoized on the view.
+        the remaining fields are exactly ``dst, src2``).  Results are
+        memoized on the view.
         """
         np = self.np
-        if np is None:
-            raise RuntimeError("access_fields requires numpy")
         cached = self._field_orders.get((order, ""))
         if cached is not None:
             return cached

@@ -18,7 +18,7 @@ repeated experiment passes over the same input hit the cache), and
 function.  Derivation is guarded structurally (same blocks, terminators
 and per-block ``ld``/``st`` sequences — see ``derive_trace``) and falls
 back to ``None`` whenever the guard fails; callers then interpret from
-scratch.  ``REPRO_NO_TRACE_REUSE=1`` disables the whole layer.
+scratch.
 
 One honest caveat: a derived result carries the recorded run's return
 value, so the experiments' cross-setup checksum assertion is vacuous for
@@ -29,7 +29,6 @@ keep that contract covered.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -38,16 +37,11 @@ from repro.ir.function import Function
 from repro.ir.interp import ExecutionResult, Interpreter
 from repro.ir.trace import derive_trace
 
-__all__ = ["trace_reuse_enabled", "record_reference_run",
+__all__ = ["record_reference_run",
            "derive_execution", "interpret_or_derive", "clear_recorded_runs"]
 
 _MAX_RECORDED = 32
 _recorded: "OrderedDict[Tuple, ExecutionResult]" = OrderedDict()
-
-
-def trace_reuse_enabled() -> bool:
-    """Whether the reuse layer is active (``REPRO_NO_TRACE_REUSE=1`` off)."""
-    return os.environ.get("REPRO_NO_TRACE_REUSE") != "1"
 
 
 def clear_recorded_runs() -> None:
@@ -60,12 +54,10 @@ def record_reference_run(fn: Function, args: Tuple[int, ...] = (),
                          ) -> Optional[ExecutionResult]:
     """Interpret ``fn`` once with columnar recording, memoized.
 
-    Returns ``None`` when reuse is disabled or no columnar trace is
-    available (reference interpreter engine, or a function outside the
-    fast engine's block-prefix model).
+    Returns ``None`` when no columnar trace is available (a function
+    outside the fast engine's block-prefix model runs on the reference
+    interpreter engine).
     """
-    if not trace_reuse_enabled():
-        return None
     key = (fingerprint_function(fn), tuple(args), max_steps)
     hit = _recorded.get(key)
     if hit is not None:
@@ -98,7 +90,7 @@ def derive_execution(recorded: ExecutionResult,
         return None
     codec = ct.source
     bic: Dict[str, int] = {name: 0 for name in codec.block_names}
-    for bid in (ct.block_path.tolist() if ct.is_vector else ct.block_path):
+    for bid in ct.block_path.tolist():
         bic[codec.block_names[bid]] += len(codec.prefix_ops[bid])
     return ExecutionResult(
         return_value=recorded.return_value,

@@ -41,6 +41,7 @@ from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.liveness import LivenessInfo, compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Instr, Reg
+from repro.ir.trace import lazy_numpy
 from repro.regalloc.base import AllocationResult
 from repro.regalloc.iterated import ColorSelector, iterated_allocate
 from repro.regalloc.spill import SpillSlotAllocator
@@ -145,11 +146,11 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
                load_cost: float, store_cost: float,
                max_ilp_vars: int) -> Optional[ResidencePlan]:
     try:
-        import numpy as np
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint, milp
     except ImportError:
         return None
+    np = lazy_numpy()
 
     # variable layout: x vars first (binary), then transition cost vars
     x_index: Dict[Tuple[Reg, str, int], int] = {}

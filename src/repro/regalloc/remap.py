@@ -23,10 +23,11 @@ maintained table of candidate deltas is invalidated only for pairs whose
 incident edges reach the registers a step actually moved.  Edge weights are
 scaled to exact integers (see :data:`_WEIGHT_SCALE`), which makes every
 delta bit-identical to a full :func:`_perm_cost` recomputation no matter
-how — or on which engine — it is computed; the vectorised
-:class:`_NumpyDeltaEngine` and the pure-Python :class:`_PyDeltaEngine`
-return the same permutations, costs and restart counts as the
-O(E)-per-candidate :func:`_greedy_descent_reference` they replace.
+how — or on which engine — it is computed.  The vectorised
+:class:`_NumpyDeltaEngine` (production) and the pure-Python
+:class:`_PyDeltaEngine` (weights too large for int64) return the same
+permutations, costs and restart counts as the O(E)-per-candidate
+:func:`_greedy_descent_reference` oracle.
 Restarts are independent, so ``jobs > 1`` fans them out over
 :func:`repro.parallel.parallel_map`, again with bit-identical results.
 """
@@ -34,7 +35,6 @@ Restarts are independent, so ``jobs > 1`` fans them out over
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -43,6 +43,7 @@ from repro.analysis.adjacency import build_adjacency
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.ir.function import Function
 from repro.ir.instr import Reg
+from repro.ir.trace import lazy_numpy
 
 __all__ = [
     "RemapResult",
@@ -65,8 +66,9 @@ Edge = Tuple[int, int, int]
 #: picks the same swap at every step.  Reported costs are divided back.
 _WEIGHT_SCALE = 720720
 
-#: Weights at or above this bound fall back to the pure-Python engine,
-#: whose arbitrary-precision integers cannot overflow int64 accumulation.
+#: Weights at or above this bound go to the pure-Python engine, whose
+#: arbitrary-precision integers cannot overflow; a block that runs ~1.5M
+#: times under profile weights reaches it.
 _NUMPY_WEIGHT_LIMIT = 1 << 40
 
 
@@ -464,9 +466,8 @@ class _NumpyDeltaEngine:
     """
 
     def __init__(self, edges: Sequence[Edge], reg_n: int, diff_n: int,
-                 free: Sequence[int], np_module) -> None:
-        np = np_module
-        self.np = np
+                 free: Sequence[int]) -> None:
+        self.np = np = lazy_numpy()
         self.reg_n = reg_n
         self.diff_n = diff_n
         self.edges = list(edges)
@@ -587,36 +588,15 @@ class _NumpyDeltaEngine:
         return cost
 
 
-def _numpy_or_none():
-    """The numpy module when present and not disabled, else ``None``."""
-    if os.environ.get("REPRO_NO_NUMPY") == "1":
-        return None
-    try:
-        import numpy
-    except ImportError:  # numpy is optional: the pure engine is complete
-        return None
-    return numpy
-
-
 def _make_engine(edges: Sequence[Edge], reg_n: int, diff_n: int,
                  free: Sequence[int]):
-    """The fastest available exact engine for this edge set."""
-    np = _numpy_or_none()
-    if np is not None and all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
-        return _NumpyDeltaEngine(edges, reg_n, diff_n, free, np)
+    """The exact swap-descent engine for this edge set (the paper's
+    Figure 7 loop): numpy, unless a weight could overflow its int64
+    accumulation.  ``engine.descend(perm)`` mutates ``perm`` into a local
+    minimum and returns its (scaled, integer) cost."""
+    if all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
+        return _NumpyDeltaEngine(edges, reg_n, diff_n, free)
     return _PyDeltaEngine(edges, reg_n, diff_n, free)
-
-
-def _greedy_descent(perm: List[int], edges: Sequence[Edge],
-                    reg_n: int, diff_n: int, free: Sequence[int],
-                    engine=None) -> int:
-    """Steepest-descent over element swaps (the paper's Figure 7 loop),
-    via the incremental delta engines.  Mutates and returns through
-    ``perm``; the return value is the (scaled, integer) local-minimum
-    cost."""
-    if engine is None:
-        engine = _make_engine(edges, reg_n, diff_n, free)
-    return engine.descend(perm)
 
 
 def _greedy_descent_reference(perm: List[int], edges: Sequence[Edge],

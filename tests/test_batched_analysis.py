@@ -8,13 +8,14 @@ orders (the allocators' tie-breaks walk them), and bit-identical floats
 (weights accumulate in the same left-to-right order).  Checked here on
 the full mibench suite, a 200-function seeded fuzz corpus, and
 hypothesis-generated programs over the whole fuzz knob set; plus the
-``REPRO_NO_ANALYSIS_VECTOR`` opt-out and the ``prewarm_corpus`` /
+public entry points against the references and the ``prewarm_corpus`` /
 pipeline wiring.
 """
 
 import os
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -34,11 +35,7 @@ from repro.analysis.interference import (
 from repro.analysis.liveness import _compute_liveness, compute_liveness
 from repro.fuzz.gen import generate_fuzz_function
 from repro.ir.columnar import columnar_view
-from repro.ir.trace import numpy_or_none
 from repro.workloads import MIBENCH
-
-np = numpy_or_none()
-pytestmark = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 ORDERS = ("src_first", "dst_first", "two_address")
 
@@ -194,13 +191,28 @@ class TestHypothesisEquivalence:
         assert_fn_equivalent(fn, orders=(order,))
 
 
-class TestOptOut:
-    def test_env_disables_vector_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_ANALYSIS_VECTOR", "1")
-        assert not batched.vectors_enabled()
+def use_reference_engines(monkeypatch):
+    """Route the public analysis entry points to the object-walking
+    oracles, and make the corpus prewarm a no-op, for A/B comparisons
+    against the production kernels."""
+    monkeypatch.setattr(batched, "liveness_one",
+                        lambda fn, fp=None: _compute_liveness(fn))
+    monkeypatch.setattr(
+        batched, "interference_one",
+        lambda fn, freq, cls, fp=None:
+        _build_interference_ref(fn, None, freq, cls))
+    monkeypatch.setattr(
+        batched, "adjacency_one",
+        lambda fn, order, cls, freq, fp=None:
+        _build_adjacency_ref(fn, order, cls, freq))
+    monkeypatch.setattr(batched, "prewarm_corpus",
+                        lambda fns, cls="int", interference=True: 0)
+
+
+class TestPublicEntryPoints:
+    def test_public_api_matches_references(self):
         fn = MIBENCH[0].build()
         clear_analysis_cache()
-        # public API still works and matches the reference bit-for-bit
         assert_same_liveness(_compute_liveness(fn), compute_liveness(fn))
         assert_same_interference(
             _build_interference_ref(fn, None, None, "int"),
@@ -208,13 +220,8 @@ class TestOptOut:
         assert_same_adjacency(
             _build_adjacency_ref(fn, "src_first", "int", None),
             build_adjacency(fn))
-        # prewarm degrades to a no-op rather than raising
-        batched.prewarm_corpus([fn])
+        assert batched.prewarm_corpus([fn]) == 1
         clear_analysis_cache()
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_ANALYSIS_VECTOR", raising=False)
-        assert batched.vectors_enabled()
 
 
 class TestPipelineParity:
@@ -241,10 +248,10 @@ class TestPipelineParity:
                            for r, c in prog.allocation.coloring.items()),
                     prog.n_spills)
 
-        monkeypatch.setenv("REPRO_NO_ANALYSIS_VECTOR", "1")
-        ref = outcome()
-        monkeypatch.delenv("REPRO_NO_ANALYSIS_VECTOR")
         vec = outcome()
+        with monkeypatch.context() as m:
+            use_reference_engines(m)
+            ref = outcome()
         clear_analysis_cache()
         assert ref == vec
 

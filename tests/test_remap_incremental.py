@@ -19,10 +19,8 @@ from repro.regalloc.remap import (
     _PyDeltaEngine,
     _WEIGHT_SCALE,
     _edge_list,
-    _greedy_descent,
     _greedy_descent_reference,
     _make_engine,
-    _numpy_or_none,
     _perm_cost,
     _start_perms,
 )
@@ -97,14 +95,11 @@ class TestDescentEquivalence:
     @given(graph_and_perm())
     @settings(**COMMON)
     def test_numpy_engine_matches_python_engine(self, gp):
-        np = _numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
         edges, perm = gp
         free = list(range(REG_N))
         p_py, p_np = list(perm), list(perm)
         c_py = _PyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_py)
-        c_np = _NumpyDeltaEngine(edges, REG_N, DIFF_N, free, np).descend(p_np)
+        c_np = _NumpyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_np)
         assert (c_py, p_py) == (c_np, p_np)
 
     @given(graph_and_perm())
@@ -114,7 +109,7 @@ class TestDescentEquivalence:
         the final permutation — no drift accumulates."""
         edges, perm = gp
         free = list(range(REG_N))
-        cost = _greedy_descent(perm, edges, REG_N, DIFF_N, free)
+        cost = _make_engine(edges, REG_N, DIFF_N, free).descend(perm)
         assert cost == _perm_cost(perm, edges, REG_N, DIFF_N)
 
     def test_pinned_free_subset_matches_reference(self):
@@ -123,8 +118,21 @@ class TestDescentEquivalence:
         for start in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 1, 3, 0]):
             p_ref, p_inc = list(start), list(start)
             c_ref = _greedy_descent_reference(p_ref, edges, 4, 2, free)
-            c_inc = _greedy_descent(p_inc, edges, 4, 2, free)
+            c_inc = _make_engine(edges, 4, 2, free).descend(p_inc)
             assert (c_ref, p_ref) == (c_inc, p_inc)
+
+
+def test_huge_weights_use_python_engine():
+    """A weight past int64-safe accumulation (a block run ~1.5M times
+    under profile weights) routes to the arbitrary-precision engine,
+    which still reproduces the reference descent."""
+    edges = [(0, 1, 1 << 41), (1, 2, 3), (2, 3, 1 << 40), (3, 0, 2)]
+    free = [0, 1, 2, 3]
+    engine = _make_engine(edges, 4, 2, free)
+    assert isinstance(engine, _PyDeltaEngine)
+    p_ref, p_inc = [3, 1, 0, 2], [3, 1, 0, 2]
+    c_ref = _greedy_descent_reference(p_ref, edges, 4, 2, free)
+    assert (c_ref, p_ref) == (engine.descend(p_inc), p_inc)
 
 
 @pytest.mark.parametrize("name", ["sha", "crc32", "stringsearch"])

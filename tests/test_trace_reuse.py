@@ -11,24 +11,14 @@ time-limited and therefore not run-to-run deterministic, which would make
 an A/B comparison meaningless.
 """
 
-import os
-
 import pytest
 
-from repro.ir import Interpreter
+from repro.ir import BasicBlock, Function, Instr, Interpreter, vreg
 from repro.ir.trace import derive_trace
 from repro.machine import (LOWEND, LowEndTimingModel, clear_recorded_runs,
                            derive_execution, interpret_or_derive,
-                           record_reference_run, trace_reuse_enabled)
+                           record_reference_run)
 from repro.workloads.mibench import MIBENCH
-
-#: the derivation contract only exists with the fast engine recording
-#: columnar traces and the reuse layer enabled
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_SIM_REFERENCE") == "1"
-    or os.environ.get("REPRO_NO_TRACE_REUSE") == "1",
-    reason="trace reuse disabled by environment",
-)
 
 WORKLOADS = {w.name: w for w in MIBENCH}
 SETUPS = ["baseline", "remapping", "select"]
@@ -129,10 +119,21 @@ class TestRecordingCache:
         fresh = record_reference_run(sum_fn, (5,))
         assert fresh is not first
 
-    def test_escape_hatch_disables_reuse(self, sum_fn, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_TRACE_REUSE", "1")
-        assert not trace_reuse_enabled()
-        assert record_reference_run(sum_fn, (5,)) is None
-        monkeypatch.delenv("REPRO_NO_TRACE_REUSE")
-        assert trace_reuse_enabled()
-        assert record_reference_run(sum_fn, (5,)) is not None
+    def test_function_outside_prefix_model_is_not_recorded(self):
+        """A branch before the end of its block makes the tail reachable,
+        so only the reference interpreter can run the function: there is
+        no columnar recording, and ``interpret_or_derive`` hands back the
+        object trace instead."""
+        v0, v1 = vreg(0), vreg(1)
+        fn = Function("midbranch", [
+            BasicBlock("entry", [Instr("li", dst=v1, imm=5),
+                                 Instr("beq", srcs=(v0, v1), label="done"),
+                                 Instr("li", dst=v1, imm=7)]),
+            BasicBlock("done", [Instr("ret", srcs=(v1,))]),
+        ], params=(v0,))
+        assert record_reference_run(fn, (4,)) is None
+        result = interpret_or_derive(fn, (4,), None)
+        assert result.columnar is None
+        assert result.return_value == 7
+        report = LowEndTimingModel(LOWEND).time(result.trace)
+        assert report.instructions == result.steps == 4
