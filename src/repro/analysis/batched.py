@@ -102,8 +102,8 @@ def _decode_rows(uniq_words, ufid, views, np, frozen=True):
     into ``(function, byte column, byte value)`` keys; each distinct
     byte pattern becomes a frozenset once — unioned from the view's
     singleton :attr:`~repro.ir.columnar.ColumnarFunction.reg_sets`, so
-    ``Reg.__hash__`` runs once per register per view — and row sets
-    union the byte sets on stored hashes.  ``frozen=False`` yields
+    each register is hashed once per view — and row sets union the
+    byte sets on stored hashes.  ``frozen=False`` yields
     mutable sets instead; rows sharing a pattern share one set object,
     so callers must treat the results as read-only until copied.
     """
@@ -547,8 +547,8 @@ def _interference_kernel(views: Sequence[ColumnarFunction],
                 sq |= sq.T.copy()
 
     # node dicts cloned from the view's memoized per-class seed —
-    # ``dict(seed)`` reuses the stored key hashes, so seeding costs no
-    # ``Reg.__hash__`` calls after the first run.  Nodes that keep no
+    # ``dict(seed)`` reuses the stored key hashes, so seeding hashes no
+    # ``Reg`` after the first run.  Nodes that keep no
     # edges share the module-level empty set, which is safe because the
     # kernel's graphs are only ever read or deep-copied:
     # ``build_interference`` memoizes them and hands each caller a

@@ -9,9 +9,10 @@ themselves: "location L holds symbol v" means "L holds whatever value v
 has at this program point in the original program".
 
 The walk is anchored on instruction identity: every rewrite in the
-allocation pipeline goes through ``dataclasses.replace`` and therefore
-preserves ``Instr.uid``, so an allocated instruction is matched back to
-its original by uid and checked field-by-field.  Instructions the
+allocation pipeline (``Instr.copy``/``Instr.rewrite`` or
+``dataclasses.replace``) preserves ``Instr.uid``, so an allocated
+instruction is matched back to its original by uid and checked
+field-by-field.  Instructions the
 allocators *insert* (spill ``ldslot``/``stslot``, compensation ``mov``/
 ``xor``-swap triples, coalescing copies, ``setlr``) have fresh uids and
 well-known value-transport semantics; instructions the allocators *delete*

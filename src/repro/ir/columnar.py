@@ -299,9 +299,8 @@ class ColumnarFunction:
 
         The bitset decoders union these singletons instead of rebuilding
         sets member by member: ``frozenset.union`` merges entries on
-        their stored hashes, so each register pays its (Python-level)
-        ``__hash__`` exactly once per view instead of once per decoded
-        set.
+        their stored hashes, so each register's tuple hash is computed
+        once per view instead of once per decoded set.
         """
         sets = self._reg_sets
         if sets is None:
@@ -362,9 +361,9 @@ class ColumnarFunction:
 
         ``dict(seed)`` clones a dict reusing its stored key hashes, so a
         consumer that seeds a per-class node table for every analysis
-        run (the interference kernel) pays the per-``Reg`` ``__hash__``
-        calls once per view instead of once per run.  Callers must treat
-        the shared ``empty`` value as immutable.
+        run (the interference kernel) hashes each ``Reg`` once per view
+        instead of once per run.  Callers must treat the shared
+        ``empty`` value as immutable.
         """
         seed = self._cls_seeds.get(cls)
         if seed is None or next(iter(seed.values()), empty) is not empty:

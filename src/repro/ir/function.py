@@ -147,11 +147,10 @@ class Function:
 
     def rewrite_registers(self, mapping: Dict[Reg, Reg]) -> "Function":
         """A copy of the function with registers substituted via ``mapping``."""
-        new = self.copy()
-        for b in new.blocks:
-            b.instrs = [i.rewrite(mapping) for i in b.instrs]
-        new.params = tuple(mapping.get(p, p) for p in new.params)
-        return new
+        blocks = [BasicBlock(b.name, [i.rewrite(mapping) for i in b.instrs])
+                  for b in self.blocks]
+        return Function(self.name, blocks,
+                        tuple(mapping.get(p, p) for p in self.params))
 
     # ------------------------------------------------------------------
     # misc

@@ -46,8 +46,8 @@ decoder's ``last_reg`` chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "Reg",
@@ -64,22 +64,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Reg:
+class _RegFields(NamedTuple):
+    id: int
+    virtual: bool = True
+    cls: str = "int"
+
+
+class Reg(_RegFields):
     """A register operand.
 
     ``virtual`` registers (``v0, v1, ...``) exist before register allocation;
     physical registers (``r0, r1, ...``) exist after.  ``cls`` names the
     register class (Section 9.1) — the default single class is ``"int"``.
+
+    A ``Reg`` is the tuple ``(id, virtual, cls)``: hashing, equality and
+    ordering run in C on the hot paths of every allocator.  It therefore
+    compares equal to (and hashes like) that plain tuple.
     """
 
-    id: int
-    virtual: bool = True
-    cls: str = "int"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"register id must be non-negative, got {self.id}")
+    def __new__(_cls, id: int, virtual: bool = True,
+                cls: str = "int") -> "Reg":
+        if id < 0:
+            raise ValueError(f"register id must be non-negative, got {id}")
+        return tuple.__new__(_cls, (id, virtual, cls))
 
     def __str__(self) -> str:
         prefix = "v" if self.virtual else "r"
@@ -262,18 +271,18 @@ class Instr:
             new_perm = list(range(len(perm)))
             for i, p in enumerate(perm):
                 new_perm[sigma[i]] = sigma[p]
-            return replace(self, imm=tuple(new_perm))
-        return replace(
-            self,
-            dst=sub(self.dst) if self.dst is not None else None,
-            srcs=tuple(sub(s) for s in self.srcs),
-            call_uses=tuple(sub(s) for s in self.call_uses),
-            call_defs=tuple(sub(s) for s in self.call_defs),
-        )
+            return Instr(self.op, self.dst, self.srcs, tuple(new_perm),
+                         self.label, self.call_uses, self.call_defs, self.uid)
+        dst = self.dst
+        return Instr(self.op, None if dst is None else sub(dst),
+                     tuple(map(sub, self.srcs)), self.imm, self.label,
+                     tuple(map(sub, self.call_uses)),
+                     tuple(map(sub, self.call_defs)), self.uid)
 
     def copy(self) -> "Instr":
         """Shallow copy preserving ``uid``."""
-        return replace(self)
+        return Instr(self.op, self.dst, self.srcs, self.imm, self.label,
+                     self.call_uses, self.call_defs, self.uid)
 
     def is_move(self) -> bool:
         """Whether this is a register-to-register copy."""

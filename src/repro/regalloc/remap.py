@@ -18,17 +18,16 @@ Two searches are provided, matching the paper:
 The descent evaluates swap candidates **incrementally**: swapping registers
 ``a`` and ``b`` only changes the satisfaction of edges incident to ``a`` or
 ``b``, so a candidate swap costs O(deg(a) + deg(b)) against per-register
-incident-edge buckets instead of a full O(E) cost re-evaluation, and a
-maintained table of candidate deltas is invalidated only for pairs whose
-incident edges reach the registers a step actually moved.  Edge weights are
-scaled to exact integers (see :data:`_WEIGHT_SCALE`), which makes every
-delta bit-identical to a full :func:`_perm_cost` recomputation no matter
-how — or on which engine — it is computed.  The vectorised
-:class:`_NumpyDeltaEngine` (production) and the pure-Python
-:class:`_PyDeltaEngine` (weights too large for int64) return the same
-permutations, costs and restart counts as the O(E)-per-candidate
-:func:`_greedy_descent_reference` oracle.
-Restarts are independent, so ``jobs > 1`` fans them out over
+incident-edge buckets instead of a full O(E) cost re-evaluation.  Edge
+weights are scaled to exact integers (see :data:`_WEIGHT_SCALE`), which
+makes every delta bit-identical to a full :func:`_perm_cost` recomputation
+no matter how — or on which engine — it is computed.  Both engines expose
+``descend_all(starts)``: the vectorised :class:`_NumpyDeltaEngine`
+(production) descends every restart of a search at once, and the
+pure-Python :class:`_PyDeltaEngine` (weights too large for int64) one at a
+time; both return the same permutations and costs as the
+O(E)-per-candidate :func:`_greedy_descent_reference` oracle.  Restarts are
+independent, so ``jobs > 1`` fans them out over
 :func:`repro.parallel.parallel_map`, again with bit-identical results.
 """
 
@@ -70,6 +69,11 @@ _WEIGHT_SCALE = 720720
 #: arbitrary-precision integers cannot overflow; a block that runs ~1.5M
 #: times under profile weights reaches it.
 _NUMPY_WEIGHT_LIMIT = 1 << 40
+
+#: Entries of the ``(restarts x pair entries)`` table one batched descent
+#: round may hold; more restarts than fit run in successive chunks.  At
+#: ~16 bytes of temporaries per entry a round stays near 1 MB.
+_DESCENT_BUDGET = 1 << 16
 
 
 @dataclass
@@ -417,7 +421,16 @@ class _PyDeltaEngine:
         perm[a], perm[b] = perm[b], perm[a]
         return before - after
 
-    def descend(self, perm: List[int]) -> int:
+    def descend_all(self, starts: Sequence[Sequence[int]]
+                    ) -> List[Tuple[int, List[int]]]:
+        """Descend every start to a local minimum: ``[(cost, perm)]``."""
+        results = []
+        for start in starts:
+            perm = list(start)
+            results.append((self._descend(perm), perm))
+        return results
+
+    def _descend(self, perm: List[int]) -> int:
         """Steepest-descent to a local minimum; mutates ``perm``.
 
         The delta table survives across descent rounds: applying swap
@@ -455,14 +468,18 @@ class _PyDeltaEngine:
 
 
 class _NumpyDeltaEngine:
-    """Vectorised twin of :class:`_PyDeltaEngine`.
+    """Vectorised twin of :class:`_PyDeltaEngine` that descends every
+    start of a search at once.
 
     The incident-edge buckets of every candidate pair are flattened into
-    one entry array grouped by pair, so recomputing the invalidated slice
-    of the delta table is a single masked gather + segmented int64 sum per
-    descent round.  All arithmetic is integer, so results are
-    bit-identical to the pure-Python engine; ``np.argmax`` returns the
-    first maximum, matching the scan order of the reference loops.
+    one entry array grouped by pair, so one round of all restarts is a
+    ``(restarts x entries)`` gather plus one segmented int64 sum into a
+    ``(restarts x pairs)`` delta table.  Each still-improving row applies
+    its first-max swap (``argmax`` returns the first maximum, matching the
+    scan order of the reference loops); converged rows drop out.  All
+    arithmetic is integer, so results are bit-identical to the
+    pure-Python engine.  Restarts run in chunks of at most
+    :data:`_DESCENT_BUDGET` table entries.
     """
 
     def __init__(self, edges: Sequence[Edge], reg_n: int, diff_n: int,
@@ -470,130 +487,95 @@ class _NumpyDeltaEngine:
         self.np = np = lazy_numpy()
         self.reg_n = reg_n
         self.diff_n = diff_n
-        self.edges = list(edges)
-        self.free = list(free)
         self.U = np.array([e[0] for e in edges], dtype=np.int64)
         self.V = np.array([e[1] for e in edges], dtype=np.int64)
         self.W = np.array([e[2] for e in edges], dtype=np.int64)
 
         incident: List[List[int]] = [[] for _ in range(reg_n)]
-        adj = np.zeros((reg_n, reg_n), dtype=bool)
         for idx, (u, v, _) in enumerate(edges):
             incident[u].append(idx)
             if v != u:
                 incident[v].append(idx)
-            adj[u, v] = adj[v, u] = True
-        for r in range(reg_n):
-            adj[r, r] = True
-        self.adj = adj
-
+        # with no edges every swap has delta 0: nothing to descend
         pairs = [(free[ai], free[bi])
                  for ai in range(len(free))
-                 for bi in range(ai + 1, len(free))]
+                 for bi in range(ai + 1, len(free))] if len(edges) else []
         self.PA = np.array([p[0] for p in pairs], dtype=np.int64)
         self.PB = np.array([p[1] for p in pairs], dtype=np.int64)
         self.n_pairs = len(pairs)
 
         # The buckets of every candidate pair, flattened into one entry
-        # array grouped by pair.  Pairs with no incident edges get one
-        # zero-weight sentinel entry so reduceat segments are never empty.
+        # array grouped by pair: the entry's edge, and its endpoints with
+        # the pair's swap already applied.  Pairs with no incident edges
+        # get one zero-weight sentinel entry so reduceat segments are
+        # never empty.
         eid: List[int] = []
-        pid: List[int] = []
+        weight: List[int] = []
+        swapped_u: List[int] = []
+        swapped_v: List[int] = []
         starts: List[int] = []
-        for k, (a, b) in enumerate(pairs):
+        for a, b in pairs:
+            swap = {a: b, b: a}
             both = incident[a] + [i for i in incident[b]
-                                  if self.U[i] != a and self.V[i] != a]
+                                  if edges[i][0] != a and edges[i][1] != a]
             starts.append(len(eid))
-            eid.extend(both or [-1])
-            pid.extend([k] * (len(both) or 1))
-        eid_arr = np.array(eid, dtype=np.int64)
-        sentinel = eid_arr < 0
-        eid_arr[sentinel] = 0
-        self.PID = np.array(pid, dtype=np.int64)
+            for i in both or [0]:
+                u, v, w = edges[i]
+                eid.append(i)
+                weight.append(w if both else 0)
+                swapped_u.append(swap.get(u, u))
+                swapped_v.append(swap.get(v, v))
+        self.EID = np.array(eid, dtype=np.int64)
+        self.EW = np.array(weight, dtype=np.int64)
+        self.SU = np.array(swapped_u, dtype=np.int64)
+        self.SV = np.array(swapped_v, dtype=np.int64)
         self.SEG_STARTS = np.array(starts, dtype=np.int64)
-        n = len(eid_arr)
-        self.EU = self.U[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EV = self.V[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EW = self.W[eid_arr] if len(edges) else np.zeros(n, np.int64)
-        self.EW[sentinel] = 0
-        EA = self.PA[self.PID]
-        EB = self.PB[self.PID]
-        self.EA, self.EB = EA, EB
-        # static: which entries' endpoints are the entry's own pair
-        self.EU_IS_A = self.EU == EA
-        self.EU_IS_B = self.EU == EB
-        self.EV_IS_A = self.EV == EA
-        self.EV_IS_B = self.EV == EB
-        # rounds invalidating less than this fraction of the table use the
-        # masked subset path; denser rounds recompute every segment, which
-        # costs fewer (and no gather-heavy) vector ops
-        self.subset_threshold = 0.25 * self.n_pairs
+        # condition (3) by table lookup: a difference of two register
+        # numbers lies in (-reg_n, reg_n), and a negative index wraps
+        # exactly like Python's ``% reg_n``
+        self.BAD = np.arange(reg_n) >= diff_n
+        self.dtype = np.int16 if reg_n < 1 << 15 else np.int64
 
-    def _deltas_full(self, P):
-        """Every pair's delta in one segmented pass."""
-        np = self.np
-        pu, pv = P[self.EU], P[self.EV]
-        pa, pb = P[self.EA], P[self.EB]
-        nu = np.where(self.EU_IS_A, pb, np.where(self.EU_IS_B, pa, pu))
-        nv = np.where(self.EV_IS_A, pb, np.where(self.EV_IS_B, pa, pv))
-        before = (pv - pu) % self.reg_n >= self.diff_n
-        after = (nv - nu) % self.reg_n >= self.diff_n
-        contrib = self.EW * np.subtract(before, after, dtype=np.int64)
-        return np.add.reduceat(contrib, self.SEG_STARTS)
+    def _violations(self, P, U, V):
+        """``[row, i]``: whether edge ``(U[i], V[i])`` breaks condition
+        (3) under row ``row`` of the permutation batch ``P``."""
+        return self.BAD[P[:, V] - P[:, U]]
 
-    def _deltas_subset(self, P, deltas, pair_dirty):
-        """Recompute only the invalidated pairs' deltas, in place."""
+    def _deltas(self, P):
+        """Every pair's swap delta for every row of ``P``."""
         np = self.np
-        sel = pair_dirty[self.PID]
-        eu, ev = self.EU[sel], self.EV[sel]
-        pu, pv = P[eu], P[ev]
-        pa, pb = P[self.EA[sel]], P[self.EB[sel]]
-        nu = np.where(self.EU_IS_A[sel], pb, np.where(self.EU_IS_B[sel], pa, pu))
-        nv = np.where(self.EV_IS_A[sel], pb, np.where(self.EV_IS_B[sel], pa, pv))
-        before = (pv - pu) % self.reg_n >= self.diff_n
-        after = (nv - nu) % self.reg_n >= self.diff_n
-        contrib = self.EW[sel] * np.subtract(before, after, dtype=np.int64)
-        fresh = np.zeros(self.n_pairs, dtype=np.int64)
-        np.add.at(fresh, self.PID[sel], contrib)
-        deltas[pair_dirty] = fresh[pair_dirty]
+        before = self._violations(P, self.U, self.V)[:, self.EID]
+        after = self._violations(P, self.SU, self.SV)
+        contrib = self.EW * (before.view(np.int8) - after.view(np.int8))
+        return np.add.reduceat(contrib, self.SEG_STARTS, axis=1)
 
-    def descend(self, perm: List[int]) -> int:
+    def descend_all(self, starts: Sequence[Sequence[int]]
+                    ) -> List[Tuple[int, List[int]]]:
+        """Descend every start to a local minimum: ``[(cost, perm)]``."""
         np = self.np
-        reg_n, diff_n = self.reg_n, self.diff_n
-        P = np.array(perm, dtype=np.int64)
-        if not self.n_pairs or not len(self.edges):
-            return int(self.W[(P[self.V] - P[self.U]) % reg_n
-                              >= diff_n].sum())
-        cost = int(self.W[(P[self.V] - P[self.U]) % reg_n >= diff_n].sum())
-        deltas = self._deltas_full(P)
-        while True:
-            k = int(np.argmax(deltas))
-            best_delta = int(deltas[k])
-            if best_delta <= 0:
-                break
-            a, b = int(self.PA[k]), int(self.PB[k])
-            P[a], P[b] = int(P[b]), int(P[a])
-            cost -= best_delta
-            dirty_regs = self.adj[a] | self.adj[b]
-            pair_dirty = dirty_regs[self.PA] | dirty_regs[self.PB]
-            n_dirty = int(pair_dirty.sum())
-            if n_dirty > self.subset_threshold:
-                # recomputing clean pairs is harmless — exact arithmetic
-                # reproduces the cached values — and the full segmented
-                # pass is cheaper than gathering a large subset
-                deltas = self._deltas_full(P)
-            elif n_dirty:
-                self._deltas_subset(P, deltas, pair_dirty)
-        perm[:] = P.tolist()
-        return cost
+        chunk = max(1, _DESCENT_BUDGET // max(1, len(self.EID)))
+        results: List[Tuple[int, List[int]]] = []
+        for lo in range(0, len(starts), chunk):
+            P = np.array(starts[lo:lo + chunk], dtype=self.dtype)
+            rows = np.arange(len(P) if self.n_pairs else 0)
+            while len(rows):
+                deltas = self._deltas(P[rows])
+                k = deltas.argmax(axis=1)
+                improving = deltas[np.arange(len(rows)), k] > 0
+                rows, k = rows[improving], k[improving]
+                a, b = self.PA[k], self.PB[k]
+                P[rows, a], P[rows, b] = P[rows, b], P[rows, a]
+            costs = (self._violations(P, self.U, self.V) * self.W).sum(axis=1)
+            results.extend(zip(costs.tolist(), P.tolist()))
+        return results
 
 
 def _make_engine(edges: Sequence[Edge], reg_n: int, diff_n: int,
                  free: Sequence[int]):
     """The exact swap-descent engine for this edge set (the paper's
     Figure 7 loop): numpy, unless a weight could overflow its int64
-    accumulation.  ``engine.descend(perm)`` mutates ``perm`` into a local
-    minimum and returns its (scaled, integer) cost."""
+    accumulation.  ``engine.descend_all(starts)`` descends every start to
+    a local minimum and returns its ``(scaled integer cost, perm)``."""
     if all(abs(w) < _NUMPY_WEIGHT_LIMIT for _, _, w in edges):
         return _NumpyDeltaEngine(edges, reg_n, diff_n, free)
     return _PyDeltaEngine(edges, reg_n, diff_n, free)
@@ -645,12 +627,11 @@ def _descent_batch(payload: Tuple[Tuple[Edge, ...], int, int,
                    ) -> List[Tuple[int, List[int]]]:
     """Worker task: run the descent on a batch of starting permutations.
 
-    Module-level and pure so it pickles into a process pool; one engine is
-    shared across the batch.
+    Module-level and pure so it pickles into a process pool; one engine
+    descends the whole batch.
     """
     edges, reg_n, diff_n, free, starts = payload
-    engine = _make_engine(edges, reg_n, diff_n, free)
-    return [(engine.descend(perm), perm) for perm in starts]
+    return _make_engine(edges, reg_n, diff_n, free).descend_all(starts)
 
 
 def differential_remap(fn: Function, reg_n: int, diff_n: int,
@@ -666,12 +647,12 @@ def differential_remap(fn: Function, reg_n: int, diff_n: int,
     calling conventions without the store-repair of Section 9.3 (parameter
     and return registers stay put).
 
-    ``jobs`` fans the restarts out over a process pool (``0`` = all
-    cores).  Starting permutations are drawn serially from one seeded RNG
-    and results are folded in restart order under the same early-exit rule
-    as the serial loop, so every ``jobs`` value returns the identical
-    :class:`RemapResult` — parallelism only buys wall-clock time, at the
-    price of descents past an early zero-cost hit being discarded.
+    Every restart is descended: in one batch, or fanned out over a process
+    pool with ``jobs`` > 1 (``0`` = all cores).  Starting permutations are
+    drawn serially from one seeded RNG and results are folded in restart
+    order, stopping at the first zero-cost hit, so every ``jobs`` value
+    returns the identical :class:`RemapResult`; ``restarts`` counts the
+    descents the fold used.
     """
     if freq is None:
         freq = estimate_block_frequencies(fn)
@@ -691,30 +672,20 @@ def differential_remap(fn: Function, reg_n: int, diff_n: int,
             (tuple(edges), reg_n, diff_n, tuple(free), batch)
             for batch in chunked(starts, n_jobs)
         ]
-        outcomes = [
+        results = [
             result
             for batch_result in parallel_map(_descent_batch, payloads,
                                              jobs=n_jobs)
             for result in batch_result
         ]
-        results = iter(outcomes)
-
-        def next_descent() -> Tuple[int, List[int]]:
-            return next(results)
     else:
-        engine = _make_engine(edges, reg_n, diff_n, free)
-        starts_iter = iter(starts)
+        results = _make_engine(edges, reg_n, diff_n, free).descend_all(starts)
 
-        def next_descent() -> Tuple[int, List[int]]:
-            perm = next(starts_iter)
-            return engine.descend(perm), perm
-
-    best_cost, best_perm = next_descent()
+    best_cost, best_perm = results[0]
     used = 1
-    for _ in range(max(0, restarts - 1)):
+    for cost, perm in results[1:]:
         if best_cost == 0:
             break
-        cost, perm = next_descent()
         used += 1
         if cost < best_cost:
             best_perm, best_cost = perm, cost

@@ -86,21 +86,19 @@ class TestDescentEquivalence:
     def test_python_engine_matches_reference(self, gp):
         edges, perm = gp
         free = list(range(REG_N))
-        p_ref, p_inc = list(perm), list(perm)
+        p_ref = list(perm)
         c_ref = _greedy_descent_reference(p_ref, edges, REG_N, DIFF_N, free)
         engine = _PyDeltaEngine(edges, REG_N, DIFF_N, free)
-        c_inc = engine.descend(p_inc)
-        assert (c_ref, p_ref) == (c_inc, p_inc)
+        assert engine.descend_all([perm]) == [(c_ref, p_ref)]
 
     @given(graph_and_perm())
     @settings(**COMMON)
     def test_numpy_engine_matches_python_engine(self, gp):
         edges, perm = gp
         free = list(range(REG_N))
-        p_py, p_np = list(perm), list(perm)
-        c_py = _PyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_py)
-        c_np = _NumpyDeltaEngine(edges, REG_N, DIFF_N, free).descend(p_np)
-        assert (c_py, p_py) == (c_np, p_np)
+        py = _PyDeltaEngine(edges, REG_N, DIFF_N, free).descend_all([perm])
+        np_ = _NumpyDeltaEngine(edges, REG_N, DIFF_N, free).descend_all([perm])
+        assert py == np_
 
     @given(graph_and_perm())
     @settings(**COMMON)
@@ -109,17 +107,18 @@ class TestDescentEquivalence:
         the final permutation — no drift accumulates."""
         edges, perm = gp
         free = list(range(REG_N))
-        cost = _make_engine(edges, REG_N, DIFF_N, free).descend(perm)
-        assert cost == _perm_cost(perm, edges, REG_N, DIFF_N)
+        [(cost, result)] = _make_engine(edges, REG_N, DIFF_N,
+                                        free).descend_all([perm])
+        assert cost == _perm_cost(result, edges, REG_N, DIFF_N)
 
     def test_pinned_free_subset_matches_reference(self):
         edges = [(0, 1, 5), (1, 2, 3), (2, 3, 7), (3, 0, 2), (1, 3, 4)]
         free = [0, 2, 3]  # register 1 pinned
         for start in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 1, 3, 0]):
-            p_ref, p_inc = list(start), list(start)
+            p_ref = list(start)
             c_ref = _greedy_descent_reference(p_ref, edges, 4, 2, free)
-            c_inc = _make_engine(edges, 4, 2, free).descend(p_inc)
-            assert (c_ref, p_ref) == (c_inc, p_inc)
+            engine = _make_engine(edges, 4, 2, free)
+            assert engine.descend_all([start]) == [(c_ref, p_ref)]
 
 
 def test_huge_weights_use_python_engine():
@@ -130,9 +129,9 @@ def test_huge_weights_use_python_engine():
     free = [0, 1, 2, 3]
     engine = _make_engine(edges, 4, 2, free)
     assert isinstance(engine, _PyDeltaEngine)
-    p_ref, p_inc = [3, 1, 0, 2], [3, 1, 0, 2]
+    p_ref = [3, 1, 0, 2]
     c_ref = _greedy_descent_reference(p_ref, edges, 4, 2, free)
-    assert (c_ref, p_ref) == (engine.descend(p_inc), p_inc)
+    assert engine.descend_all([[3, 1, 0, 2]]) == [(c_ref, p_ref)]
 
 
 @pytest.mark.parametrize("name", ["sha", "crc32", "stringsearch"])
@@ -145,12 +144,13 @@ def test_workload_descents_match_reference(name):
     freq = estimate_block_frequencies(fn)
     edges = _edge_list(fn, 12, "src_first", freq)
     free = list(range(12))
-    engine = _make_engine(edges, 12, 8, free)
-    for start in _start_perms(list(range(12)), free, 10, seed=5):
-        p_ref, p_inc = list(start), list(start)
-        c_ref = _greedy_descent_reference(p_ref, edges, 12, 8, free)
-        c_inc = engine.descend(p_inc)
-        assert (c_ref, p_ref) == (c_inc, p_inc)
+    starts = _start_perms(list(range(12)), free, 10, seed=5)
+    reference = []
+    for start in starts:
+        p_ref = list(start)
+        reference.append(
+            (_greedy_descent_reference(p_ref, edges, 12, 8, free), p_ref))
+    assert _make_engine(edges, 12, 8, free).descend_all(starts) == reference
 
 
 class TestEdgeList:
