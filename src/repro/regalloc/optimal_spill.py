@@ -5,16 +5,38 @@ The paper's third scheme builds on an allocator that first decides spills
 the graph.  We reproduce that structure:
 
 1. **Residence decisions** (:func:`decide_residence`): for every virtual
-   register and every program point where it is live, a binary variable says
-   whether the value sits in a register or in its spill slot.  Constraints:
-   at most ``k`` values in registers at any point; operands of an
-   instruction must be in registers at it; definitions write to registers;
-   residence agrees across CFG edges.  The objective minimises frequency
-   weighted loads (memory→register transitions) plus stores
-   (register→memory transitions of dirty values).  Solved exactly with
-   ``scipy.optimize.milp`` (HiGHS) — the authors used CPLEX — with a greedy
-   spill-everywhere fallback when scipy is unavailable or the instance
-   exceeds ``max_ilp_vars``.
+   register and every program point where it is live, decide whether the
+   value sits in a register or in its spill slot.  Constraints: at most
+   ``k`` values in registers at any point; operands of an instruction must
+   be in registers at it; definitions write to registers; residence agrees
+   across CFG edges.  The objective minimises frequency weighted loads
+   (memory→register transitions) plus stores (register→memory
+   transitions; codegen later skips the write-back of clean values).
+   Solved exactly with ``scipy.optimize.milp`` (HiGHS) — the authors used
+   CPLEX — with a greedy spill-everywhere fallback when scipy is
+   unavailable, the model is infeasible, or the normal-form model below
+   has more than ``max_ilp_vars`` columns.
+
+   The ILP is posed in a *segment normal form* rather than with one
+   binary per live point.  A reload can always move later, up to the next
+   point that needs the value, and a store earlier, up to the last point
+   that did; both moves keep the cost and only lower occupancy.  So some
+   optimal plan changes residence only next to *anchors*: a value's forced
+   points (use, definition result, entry parameter) and the block
+   boundaries.  Forced anchors are the constant 1, every other anchor is
+   one binary, and between consecutive anchors ``p < q`` of one charged
+   chain (no definition or death in between) one binary ``m`` says
+   "resident through the interior", with ``m <= x_p``, ``m <= x_q`` and
+   cost ``w*s*(x_p - m) + w*l*(x_q - m)``.  Only values live at some
+   over-pressure point (more live values than ``k`` minus the live
+   physical registers) enter the model, capacity rows exist only at those
+   points (rows over the same columns keep the tightest bound), and a
+   function without one is all-resident without calling the solver.
+   Expansion copies each ``m`` over its interior, so stores land right
+   after ``p`` and reloads right before ``q``.  Zero-frequency code costs
+   nothing, so the solver may spill there for free; one deterministic
+   sweep then turns on, in order, every spilled zero-weight segment with
+   both ends resident whose over-pressure interior points still have room.
 
    One deliberate simplification versus Appel-George: residence may not
    change on a CFG *edge* (no edge splitting), so loads/stores live inside
@@ -34,6 +56,7 @@ the graph.  We reproduce that structure:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -84,36 +107,27 @@ class ResidencePlan:
 
 @dataclass
 class _Points:
-    """Liveness per program point for every block."""
+    """Per program point: the live virtual int registers and the number of
+    live physical int registers (which eat into the budget ``k``)."""
 
-    fn: Function
-    liveness: LivenessInfo
     live_at: Dict[Tuple[str, int], Set[Reg]] = field(default_factory=dict)
+    phys: Dict[Tuple[str, int], int] = field(default_factory=dict)
 
     @classmethod
     def build(cls, fn: Function, liveness: LivenessInfo) -> "_Points":
-        pts = cls(fn, liveness)
+        pts = cls()
         for b in fn.blocks:
             n = len(b.instrs)
-            for j in range(n):
-                live = liveness.instr_live_in[b.instrs[j].uid]
+            for j in range(n + 1):
+                live = (liveness.instr_live_in[b.instrs[j].uid] if j < n
+                        else liveness.live_out[b.name])
                 pts.live_at[(b.name, j)] = {
                     r for r in live if r.virtual and r.cls == "int"
                 }
-            pts.live_at[(b.name, n)] = {
-                r for r in liveness.live_out[b.name]
-                if r.virtual and r.cls == "int"
-            }
+                pts.phys[(b.name, j)] = sum(
+                    1 for r in live if not r.virtual and r.cls == "int"
+                )
         return pts
-
-    def phys_pressure(self, block: str, j: int) -> int:
-        b = self.fn.block(block)
-        n = len(b.instrs)
-        if j < n:
-            live = self.liveness.instr_live_in[b.instrs[j].uid]
-        else:
-            live = self.liveness.live_out[block]
-        return sum(1 for r in live if not r.virtual and r.cls == "int")
 
 
 def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
@@ -136,8 +150,12 @@ def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
 
 
 # ----------------------------------------------------------------------
-# exact solution via scipy.optimize.milp
+# exact solution via scipy.optimize.milp, over the segment normal form
 # ----------------------------------------------------------------------
+
+#: column index standing for a forced anchor, whose residence is the
+#: constant 1
+_FORCED = -1
 
 
 def _solve_ilp(fn: Function, k: int, pts: _Points,
@@ -152,146 +170,195 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
         return None
     np = lazy_numpy()
 
-    # variable layout: x vars first (binary), then transition cost vars
-    x_index: Dict[Tuple[Reg, str, int], int] = {}
-    for (block, j), live in sorted(
-            pts.live_at.items(), key=lambda it: (it[0][0], it[0][1])):
-        for v in sorted(live):
-            x_index[(v, block, j)] = len(x_index)
-    n_x = len(x_index)
-    if n_x == 0:
+    room = {pt: k - pts.phys[pt] for pt in pts.live_at}
+    over = [pt for pt, live in pts.live_at.items() if len(live) > room[pt]]
+    if not over:
         return ResidencePlan({}, set(), 0.0, "ilp")
+    # a value live at no over-pressure point stays resident for free
+    model: Set[Reg] = set().union(*(pts.live_at[pt] for pt in over))
 
-    cost_terms: List[Tuple[int, int, float]] = []  # (x_pre, x_post, weight), load
-    store_terms: List[Tuple[int, int, float]] = []
+    cost: List[float] = []  # objective coefficient per column
+    anchors: Dict[Tuple[Reg, str, int], int] = {}
+    # (v, block, p, q, column at p, column at q, m, block weight,
+    #  over-pressure interior points)
+    segments: List[tuple] = []
+    cap: Dict[Tuple[str, int], List[int]] = {pt: [] for pt in over}
+    fixed = dict.fromkeys(over, 0)  # forced residents per capacity row
+    below: List[Tuple[int, int]] = []  # (m, x): m <= x
+
+    def column() -> int:
+        cost.append(0.0)
+        return len(cost) - 1
+
     for b in fn.blocks:
-        w = freq.get(b.name, 1.0)
-        for j, instr in enumerate(b.instrs):
-            defs = set(instr.defs())
-            # sorted: variable/constraint order must not depend on set
-            # iteration order, or the solver's tie-breaks vary with the
-            # process hash seed
-            for v in sorted(pts.live_at[(b.name, j)]):
-                if v not in pts.live_at[(b.name, j + 1)]:
-                    continue  # value dies: no transition cost
-                if v in defs:
-                    continue  # def transitions are free (writes a register)
-                pre = x_index[(v, b.name, j)]
-                post = x_index[(v, b.name, j + 1)]
-                cost_terms.append((pre, post, w * load_cost))
-                store_terms.append((pre, post, w * store_cost))
+        name, instrs = b.name, b.instrs
+        n = len(instrs)
+        w = freq.get(name, 1.0)
+        # v -> (point, column) of the last anchor on v's open charged
+        # chain, and the over-pressure points passed since
+        last: Dict[Reg, Tuple[int, int]] = {}
+        inner: Dict[Reg, List[Tuple[str, int]]] = {}
+        for j in range(n + 1):
+            pt = (name, j)
+            row = cap.get(pt)
+            after = pts.live_at[(name, j + 1)] if j < n else ()
+            defs = instrs[j].defs() if j < n else ()
+            # sorted: column order must not depend on set iteration order,
+            # or the solver's tie-breaks vary with the process hash seed
+            for v in sorted(pts.live_at[pt] & model):
+                chained = v in last
+                # the transition into point j + 1 is charged
+                charged = v in after and v not in defs
+                is_forced = (v, name, j) in forced
+                if chained and charged and not is_forced:
+                    if row is not None:
+                        inner[v].append(pt)
+                    continue
+                col = _FORCED if is_forced else column()
+                anchors[(v, name, j)] = col
+                if row is not None:
+                    if is_forced:
+                        fixed[pt] += 1
+                    else:
+                        row.append(col)
+                if chained:
+                    p, cp = last.pop(v)
+                    interior = inner.pop(v)
+                    if cp != _FORCED or not is_forced or j - p > 1:
+                        # w*s*(x_p - m) + w*l*(x_q - m)
+                        m = column()
+                        cost[m] -= w * (store_cost + load_cost)
+                        if cp != _FORCED:
+                            cost[cp] += w * store_cost
+                            below.append((m, cp))
+                        if not is_forced:
+                            cost[col] += w * load_cost
+                            below.append((m, col))
+                        for ip in interior:
+                            cap[ip].append(m)
+                        segments.append((v, name, p, j, cp, col, m, w,
+                                         interior))
+                if charged:
+                    last[v] = (j, col)
+                    inner[v] = []
 
-    n_l = len(cost_terms)
-    n_s = len(store_terms)
-    n_vars = n_x + n_l + n_s
-    if n_vars > max_ilp_vars:
+    n_cols = len(cost)
+    if n_cols > max_ilp_vars:
         return None
 
-    c = np.zeros(n_vars)
-    for t, (_, _, w) in enumerate(cost_terms):
-        c[n_x + t] = w
-    for t, (_, _, w) in enumerate(store_terms):
-        c[n_x + n_l + t] = w
+    # capacity rows; rows over the same columns keep the tightest bound.
+    # Every over-pressure point has more live values than room, so none
+    # of its rows is redundant and each has a column unless infeasible.
+    merged: Dict[Tuple[int, ...], int] = {}
+    for pt in over:
+        rhs = room[pt] - fixed[pt]
+        if rhs < 0:
+            return None  # forced residents alone overfill the point
+        key = tuple(sorted(cap[pt]))
+        merged[key] = min(rhs, merged.get(key, rhs))
+
+    # edge equality: x[v, exit(P)] == x[v, entry(S)]
+    ones: Set[int] = set()
+    equal: List[Tuple[int, int]] = []
+    succs, _ = fn.cfg()
+    for pb in fn.blocks:
+        n_p = len(pb.instrs)
+        for s in succs[pb.name]:
+            for v in sorted(pts.live_at[(s, 0)] & model):
+                a = anchors[(v, pb.name, n_p)]
+                c = anchors[(v, s, 0)]
+                if a == _FORCED:
+                    a, c = c, a
+                if a == _FORCED or a == c:
+                    continue
+                if c == _FORCED:
+                    ones.add(a)
+                else:
+                    equal.append((a, c))
 
     rows: List[int] = []
     cols: List[int] = []
     vals: List[float] = []
     lb: List[float] = []
     ub: List[float] = []
-    row = 0
 
-    def add_entry(r: int, col: int, val: float) -> None:
-        rows.append(r)
-        cols.append(col)
-        vals.append(val)
+    def add_row(entries, lo: float, hi: float) -> None:
+        for col, val in entries:
+            rows.append(len(lb))
+            cols.append(col)
+            vals.append(val)
+        lb.append(lo)
+        ub.append(hi)
 
-    # capacity per point
-    for (block, j), live in pts.live_at.items():
-        if not live:
-            continue
-        for v in sorted(live):
-            add_entry(row, x_index[(v, block, j)], 1.0)
-        lb.append(-np.inf)
-        ub.append(float(k - pts.phys_pressure(block, j)))
-        row += 1
+    for key, rhs in merged.items():
+        add_row([(col, 1.0) for col in key], -np.inf, rhs)
+    for m, col in below:
+        add_row(((m, 1.0), (col, -1.0)), -np.inf, 0.0)
+    for a, c in equal:
+        add_row(((a, 1.0), (c, -1.0)), 0.0, 0.0)
 
-    # load: x_post - x_pre - l <= 0
-    for t, (pre, post, _) in enumerate(cost_terms):
-        add_entry(row, post, 1.0)
-        add_entry(row, pre, -1.0)
-        add_entry(row, n_x + t, -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-
-    # store: x_pre - x_post - s <= 0
-    for t, (pre, post, _) in enumerate(store_terms):
-        add_entry(row, pre, 1.0)
-        add_entry(row, post, -1.0)
-        add_entry(row, n_x + n_l + t, -1.0)
-        lb.append(-np.inf)
-        ub.append(0.0)
-        row += 1
-
-    # edge equality: x[v, exit(P)] == x[v, entry(B)]
-    succs, _ = fn.cfg()
-    for p in fn.blocks:
-        np_ = len(p.instrs)
-        for s in succs[p.name]:
-            for v in sorted(pts.live_at[(s, 0)]):
-                kp = (v, p.name, np_)
-                ks = (v, s, 0)
-                if kp not in x_index or ks not in x_index:
-                    continue
-                add_entry(row, x_index[kp], 1.0)
-                add_entry(row, x_index[ks], -1.0)
-                lb.append(0.0)
-                ub.append(0.0)
-                row += 1
-
-    var_lb = np.zeros(n_vars)
-    var_ub = np.ones(n_vars)
-    for key in forced:
-        if key in x_index:
-            var_lb[x_index[key]] = 1.0
-
-    integrality = np.zeros(n_vars)
-    integrality[:n_x] = 1
-
-    constraints = LinearConstraint(
-        sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(row, n_vars)
-        ),
-        np.array(lb), np.array(ub),
-    )
+    var_lb = np.zeros(n_cols)
+    var_lb[sorted(ones)] = 1.0
     res = milp(
-        c=c,
-        constraints=constraints,
-        bounds=Bounds(var_lb, var_ub),
-        integrality=integrality,
+        c=np.array(cost),
+        constraints=LinearConstraint(
+            sparse.csr_matrix((vals, (rows, cols)),
+                              shape=(len(lb), n_cols)),
+            np.array(lb), np.array(ub)),
+        bounds=Bounds(var_lb, np.ones(n_cols)),
+        integrality=np.ones(n_cols),
         options={"time_limit": 60.0},
     )
     if not res.success or res.x is None:
         return None
+    x = (res.x > 0.5).tolist()
 
-    # vectors default to False; True only at live points where the value is
-    # resident.  Dead points read as non-resident so segment walking starts
-    # a fresh segment at every definition after a liveness gap.
+    def resident(col: int) -> bool:
+        return col == _FORCED or x[col]
+
+    # Tie-break: zero-weight code is free to spill in, so the solver may
+    # leave a segment there in memory with both ends resident.  Keep it
+    # in a register wherever every over-pressure point inside has room.
+    occ = {pt: fixed[pt] + sum(x[c] for c in cap[pt]) for pt in over}
+    inside: List[bool] = []
+    for (_, _, p, q, cp, cq, m, w, interior) in segments:
+        on = x[m]
+        if (not on and w == 0 and q - p > 1 and resident(cp)
+                and resident(cq)
+                and all(occ[pt] < room[pt] for pt in interior)):
+            on = True
+            for pt in interior:
+                occ[pt] += 1
+        inside.append(on)
+
+    # expand: anchors keep their value, each interior copies its m, so
+    # stores land right after p and reloads right before q
+    spilled = {v for (v, _, _), col in anchors.items() if not resident(col)}
+    spilled.update(seg[0] for seg, on in zip(segments, inside)
+                   if not on and seg[3] - seg[2] > 1)
+    lengths = {b.name: len(b.instrs) for b in fn.blocks}
     residence: Dict[Reg, Dict[str, List[bool]]] = {}
-    spilled: Set[Reg] = set()
-    for b in fn.blocks:
-        n = len(b.instrs)
-        for j in range(n + 1):
-            for v in sorted(pts.live_at[(b.name, j)]):
-                vec = residence.setdefault(v, {}).setdefault(
-                    b.name, [False] * (n + 1)
-                )
-                resident = res.x[x_index[(v, b.name, j)]] > 0.5
-                vec[j] = resident
-                if not resident:
-                    spilled.add(v)
-    residence = {v: blocks for v, blocks in residence.items() if v in spilled}
-    return ResidencePlan(residence, spilled, float(res.fun), "ilp")
+
+    def vector(v: Reg, block: str) -> List[bool]:
+        vecs = residence.setdefault(v, {})
+        if block not in vecs:
+            vecs[block] = [False] * (lengths[block] + 1)
+        return vecs[block]
+
+    for (v, block, j), col in anchors.items():
+        if v in spilled:
+            vector(v, block)[j] = resident(col)
+    terms: List[float] = []
+    for (v, block, p, q, cp, cq, _, w, _), on in zip(segments, inside):
+        if v in spilled:
+            vector(v, block)[p + 1:q] = [on] * (q - p - 1)
+        through = on if q - p > 1 else resident(cp) and resident(cq)
+        if not through:
+            if resident(cp):
+                terms.append(w * store_cost)
+            if resident(cq):
+                terms.append(w * load_cost)
+    return ResidencePlan(residence, spilled, math.fsum(terms), "ilp")
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +377,7 @@ def _solve_greedy(fn: Function, k: int, pts: _Points,
 
     def pressure(block: str, j: int) -> int:
         live = pts.live_at[(block, j)]
-        count = pts.phys_pressure(block, j)
+        count = pts.phys[(block, j)]
         for v in live:
             if v not in spilled:
                 count += 1
@@ -374,15 +441,13 @@ def residence_plan_cost(fn: Function, plan: ResidencePlan,
     liveness = compute_liveness(fn)
     pts = _Points.build(fn, liveness)
     _, preds = fn.cfg()
-    total = 0.0
+    terms: List[float] = []
     for b in fn.blocks:
         w = freq.get(b.name, 1.0)
         n = len(b.instrs)
         for j, instr in enumerate(b.instrs):
             defs = set(instr.defs())
-            # sorted: the objective is a float sum, and addition order
-            # must not depend on set iteration order
-            for v in sorted(pts.live_at[(b.name, j)]):
+            for v in pts.live_at[(b.name, j)]:
                 if v not in pts.live_at[(b.name, j + 1)]:
                     continue
                 pre = plan.is_resident(v, b.name, j)
@@ -390,11 +455,11 @@ def residence_plan_cost(fn: Function, plan: ResidencePlan,
                 if v in defs:
                     continue  # def transitions are free
                 if post and not pre:
-                    total += w * load_cost
+                    terms.append(w * load_cost)
                 elif pre and not post:
-                    total += w * store_cost
+                    terms.append(w * store_cost)
         # block-entry reloads when some predecessor leaves the value in memory
-        for v in sorted(pts.live_at[(b.name, 0)]):
+        for v in pts.live_at[(b.name, 0)]:
             if not plan.is_resident(v, b.name, 0) or v not in plan.spilled:
                 continue
             ps = preds[b.name]
@@ -402,8 +467,10 @@ def residence_plan_cost(fn: Function, plan: ResidencePlan,
                 not plan.is_resident(v, p, len(fn.block(p).instrs))
                 for p in ps
             ):
-                total += w * load_cost
-    return total
+                terms.append(w * load_cost)
+    # fsum: exactly rounded, so the total depends neither on set iteration
+    # order nor on the order the ILP expansion sums the same terms in
+    return math.fsum(terms)
 
 
 def decide_residence(fn: Function, k: int,
