@@ -160,14 +160,17 @@ def _catter(np):
 # ----------------------------------------------------------------------
 
 def _liveness_kernel(views: Sequence[ColumnarFunction], np,
-                     fps: Optional[Sequence[Tuple]] = None):
+                     fps: Optional[Sequence[Tuple]] = None,
+                     bits_only: bool = False):
     """Fixed-point liveness for a stack of views in shared matrices.
 
     Returns ``(infos, instr_live_out_slices)`` aligned with ``views``.
     When ``fps`` (per-view structural fingerprints) is given, each
     function's per-instruction live-out bitsets are memoized under
     ``("livebits", fp)`` so the interference kernel can reuse them
-    without re-running the fixed point.
+    without re-running the fixed point.  ``bits_only`` skips decoding
+    the rows into :class:`LivenessInfo` objects; ``infos`` is then
+    ``None``.
     """
     from repro.analysis.cache import memoize_analysis
     from repro.analysis.liveness import LivenessInfo
@@ -288,6 +291,16 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
         LI = np.zeros((0, W), dtype=u64)
         LO = np.zeros((0, W), dtype=u64)
 
+    lo_slices = []
+    for f in range(n_fns):
+        i0 = instr_base[f]
+        bits = np.ascontiguousarray(LO[i0:i0 + ni[f]])
+        lo_slices.append(bits)
+        if fps is not None:
+            memoize_analysis(("livebits", fps[f]), lambda bits=bits: bits)
+    if bits_only:
+        return None, lo_slices
+
     # decode to frozensets: bit rows repeat massively (a block's
     # live-out is its last instruction's, straight-line runs share
     # sets), so intern rows first and decode each distinct one once.
@@ -345,7 +358,6 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
     getset = sets.__getitem__
 
     infos = []
-    lo_slices = []
     o_lout, o_ili, o_ilo = B, 2 * B, 2 * B + I
     for f, v in enumerate(views):
         b0, i0 = block_base[f], instr_base[f]
@@ -370,10 +382,6 @@ def _liveness_kernel(views: Sequence[ColumnarFunction], np,
         ili = dict(zip(uid_rev,
                        map(getset, map(ili_inv.__getitem__, revf))))
         infos.append(LivenessInfo(lin, lout, use, defs, ilo, ili))
-        bits = np.ascontiguousarray(LO[i0:i0 + nf])
-        lo_slices.append(bits)
-        if fps is not None:
-            memoize_analysis(("livebits", fps[f]), lambda bits=bits: bits)
     return infos, lo_slices
 
 
@@ -426,7 +434,7 @@ def _live_bits(fn: Function, view: ColumnarFunction, fp: Tuple, np):
 
     bits = peek_analysis(("livebits", fp))
     if bits is MISSING:
-        _, slices = _liveness_kernel([view], np, [fp])
+        _, slices = _liveness_kernel([view], np, [fp], bits_only=True)
         bits = slices[0]
     return bits
 

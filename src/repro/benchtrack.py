@@ -413,7 +413,9 @@ def bench_allocators(n_workloads: int = 0,
     disagree about everything except the answer.  Per-backend totals
     (instruction count, spills, ``set_last_reg`` repairs, cycles) give
     the trajectory a cost axis; an SSA backend that starts spilling
-    more shows up here before it shows up in a figure.
+    more shows up here before it shows up in a figure.  ``compile_s``
+    is each backend's wall time in ``run_setup``, summed over the
+    workloads.
     """
     from repro.machine.lowend import simulate
     from repro.regalloc.pipeline import SETUPS, run_setup
@@ -424,11 +426,14 @@ def bench_allocators(n_workloads: int = 0,
 
     rows = []
     reference: Dict[str, object] = {}
+    compile_s = dict.fromkeys(SETUPS, 0.0)
     for w in workloads:
         fn = w.function()
         for setup in SETUPS:
+            t0 = time.perf_counter()
             prog = run_setup(fn, setup, base_k=8, reg_n=12, diff_n=8,
                              remap_restarts=remap_restarts, use_ilp=False)
+            compile_s[setup] += time.perf_counter() - t0
             result, report = simulate(prog.final_fn, w.bench_args)
             if setup == "baseline":
                 reference[w.name] = result.return_value
@@ -451,6 +456,8 @@ def bench_allocators(n_workloads: int = 0,
         }
         for setup in SETUPS
     }
+    for setup in SETUPS:  # recorded only: wall time gates nothing
+        totals[setup]["compile_s"] = compile_s[setup]
     return {
         "workloads": [w.name for w in workloads],
         "setups": list(SETUPS),

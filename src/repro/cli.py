@@ -558,7 +558,8 @@ def _cmd_bench_allocators(args) -> int:
         s = zoo["totals"][name]
         print(f"  {name:<10} instrs {s['instructions']:>6.0f}  "
               f"spills {s['spills']:>4.0f}  setlr {s['setlr']:>4.0f}  "
-              f"cycles {s['cycles']:>9.0f}")
+              f"cycles {s['cycles']:>9.0f}  "
+              f"compile {s['compile_s']:>6.2f}s")
     print(f"written to {args.out}")
     return 0 if zoo["identical_results"] else 1
 

@@ -91,7 +91,6 @@ class _IRCState:
     active_moves: Set[Tuple[Reg, Reg]] = field(default_factory=set)
 
     # graph
-    adj_set: Set[Tuple[Reg, Reg]] = field(default_factory=set)
     adj_list: Dict[Reg, Set[Reg]] = field(default_factory=dict)
     degree: Dict[Reg, int] = field(default_factory=dict)
     move_list: Dict[Reg, Set[Tuple[Reg, Reg]]] = field(default_factory=dict)
@@ -122,11 +121,14 @@ class _IRCState:
                 self.degree[r] = self._INF
                 self.adj_list[r] = set()
                 self.move_list[r] = set()
+        # each virtual node's adjacency set is filled in ascending order:
+        # the insertion order of adj_list/worklist entries must not
+        # depend on the neighbor sets' iteration order
         for a in graph.nodes():
-            # sorted: the insertion order of adj_list/worklist entries
-            # must not depend on the neighbor sets' iteration order
-            for b in sorted(graph.neighbors(a)):
-                self.add_edge(a, b)
+            if a.virtual:
+                adj = set(sorted(graph.neighbors(a)))
+                self.adj_list[a] = adj
+                self.degree[a] = len(adj)
         for instr in self.fn.instructions():
             if instr.is_move() and instr.dst.cls == self.cls \
                     and instr.srcs[0].cls == self.cls:
@@ -138,11 +140,16 @@ class _IRCState:
                 self.worklist_moves.add(m)
         self.selector.begin_round(self.fn, self.members, self.freq)
 
+    def interferes(self, u: Reg, v: Reg) -> bool:
+        """Edge test for a pair with at least one virtual end (pairs of
+        pre-colored registers are never asked about)."""
+        return (v in self.adj_list[u] if u not in self.precolored
+                else u in self.adj_list[v])
+
     def add_edge(self, u: Reg, v: Reg) -> None:
-        if u == v or (u, v) in self.adj_set:
-            return
-        self.adj_set.add((u, v))
-        self.adj_set.add((v, u))
+        if u == v or (u in self.precolored and v in self.precolored) \
+                or self.interferes(u, v):
+            return  # a pre-colored pair needs no record: never queried
         if u not in self.precolored:
             self.adj_list[u].add(v)
             self.degree[u] = self.degree.get(u, 0) + 1
@@ -220,7 +227,7 @@ class _IRCState:
     def ok(self, t: Reg, r: Reg) -> bool:
         """George test for one neighbour ``t`` of the virtual node."""
         return (self.degree[t] < self.k or t in self.precolored
-                or (t, r) in self.adj_set)
+                or self.interferes(t, r))
 
     def conservative(self, nodes: Set[Reg]) -> bool:
         """Briggs test: fewer than k significant-degree neighbours."""
@@ -234,7 +241,7 @@ class _IRCState:
         if u == v:
             self.coalesced_moves.add(m)
             self.add_worklist(u)
-        elif v in self.precolored or (u, v) in self.adj_set:
+        elif v in self.precolored or self.interferes(u, v):
             self.constrained_moves.add(m)
             self.add_worklist(u)
             self.add_worklist(v)

@@ -20,8 +20,10 @@ repo's SSA machinery:
    Belady's rule, the heuristic the paper analyses — spilling it
    *everywhere*: a store after every definition, a reload before every
    use (:func:`~repro.regalloc.spill.insert_spill_code`).
-3. **Greedy coloring** — color values in first-occurrence order with
-   the lowest free register.  ``MaxLive <= k`` no longer guarantees
+3. **Simplify/select coloring** — Briggs-style optimistic coloring:
+   values of degree below ``k`` are removed first, the highest-degree
+   value when none is left, and select pops the stack assigning the
+   lowest free register.  ``MaxLive <= k`` no longer guarantees
    colorability once destruction has left SSA form, so a failed round
    spills the uncolorable values and retries, exactly like the iterated
    allocator's loop.
@@ -34,6 +36,7 @@ differential encoder and fuzz oracles to chew on.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.interference import build_interference
@@ -50,24 +53,45 @@ __all__ = ["ssa_spill_allocate"]
 _MAX_ROUNDS = 64
 
 
-def _pressure_point(fn: Function, k: int,
-                    cls: str) -> Optional[Tuple[int, Set[Reg]]]:
+def _class_live_out(fn: Function, cls: str) -> Dict[str, Set[Reg]]:
+    """Each block's ``cls`` live-out set, from one liveness analysis."""
+    live_out = compute_liveness(fn).live_out
+    return {b.name: {r for r in live_out[b.name] if r.cls == cls}
+            for b in fn.blocks}
+
+
+def _first_over_pressure(fn: Function, live_out: Dict[str, Set[Reg]],
+                         k: int, cls: str
+                         ) -> Optional[Tuple[int, Set[Reg]]]:
     """First instruction index where ``cls`` pressure exceeds ``k``.
 
     Returns ``(layout_index, live_set_at_that_point)`` or ``None`` when
     every point is within budget.  Pressure is checked on both sides of
-    each instruction, mirroring ``LivenessInfo.max_pressure``.
+    each instruction, live-in before live-out, mirroring
+    ``LivenessInfo.max_pressure``.  ``live_out`` holds each block's
+    class-filtered live-out set; one backward walk per block rebuilds
+    the per-instruction sets from it, and the last hit of the walk is
+    the block's earliest point.
     """
-    liveness = compute_liveness(fn)
     idx = 0
     for block in fn.blocks:
-        for instr in block.instrs:
-            for live in (liveness.instr_live_in[instr.uid],
-                         liveness.instr_live_out[instr.uid]):
-                at = {r for r in live if r.cls == cls}
-                if len(at) > k:
-                    return idx, at
-            idx += 1
+        live = set(live_out[block.name])
+        hit: Optional[Tuple[int, Set[Reg]]] = None
+        pos = idx + len(block.instrs)
+        for instr in reversed(block.instrs):
+            pos -= 1
+            if len(live) > k:
+                hit = (pos, set(live))
+            for r in instr.defs():
+                live.discard(r)
+            for r in instr.uses():
+                if r.cls == cls:
+                    live.add(r)
+            if len(live) > k:
+                hit = (pos, set(live))
+        if hit is not None:
+            return hit
+        idx += len(block.instrs)
     return None
 
 
@@ -122,21 +146,33 @@ def _greedy_color(
         if r.cls == cls and r.virtual:
             virtuals.add(r)
 
-    def degree(r: Reg, remaining: Set[Reg]) -> int:
-        if r not in graph:
-            return 0
-        return sum(1 for n in graph.neighbors(r)
-                   if n in remaining or (not n.virtual and n.cls == cls))
-
+    # degrees count remaining virtuals plus the pre-colored registers;
+    # they only fall, by one per pushed neighbor, so a node that drops
+    # below ``k`` stays simplifiable and waits in a heap ordered like
+    # ``sorted(remaining)``
+    order = sorted(virtuals)
+    degree: Dict[Reg, int] = {}
+    for r in order:
+        degree[r] = 0 if r not in graph else sum(
+            1 for n in graph.neighbors(r)
+            if n in virtuals or (not n.virtual and n.cls == cls))
+    low = [r for r in order if degree[r] < k]
     stack: List[Reg] = []
     remaining = set(virtuals)
     while remaining:
-        pick = next((r for r in sorted(remaining)
-                     if degree(r, remaining) < k), None)
-        if pick is None:  # Briggs: push the worst node and hope
-            pick = max(sorted(remaining), key=lambda r: degree(r, remaining))
+        if low:
+            pick = heapq.heappop(low)
+        else:  # Briggs: push the worst node and hope
+            pick = max((r for r in order if r in remaining),
+                       key=degree.__getitem__)
         stack.append(pick)
         remaining.discard(pick)
+        if pick in graph:
+            for n in graph.neighbors(pick):
+                if n in remaining:
+                    degree[n] -= 1
+                    if degree[n] == k - 1:
+                        heapq.heappush(low, n)
 
     coloring: Dict[Reg, int] = {
         r: r.id for r in graph.nodes() if not r.virtual
@@ -194,10 +230,18 @@ def ssa_spill_allocate(fn: Function, k: int,
     no_spill: Set[Reg] = set()
     spilled: Set[Reg] = set()
 
-    # phase 1: Belady pressure lowering
+    # phase 1: Belady pressure lowering.  Spilling ``victim`` changes no
+    # block boundary except that ``victim`` leaves every live-out: its
+    # reloads sit right before their uses, its stores right after their
+    # defs, and a spilled parameter's entry store reads the incoming
+    # register at the top of the entry block, which construct_ssa leaves
+    # without predecessors.  So liveness is analysed once and the first
+    # over-pressure point is rescanned from the top every round — it can
+    # move earlier, since a dead def's store temporary becomes live.
+    live_out = _class_live_out(current, cls)
     rounds = 0
     while True:
-        over = _pressure_point(current, k, cls)
+        over = _first_over_pressure(current, live_out, k, cls)
         if over is None:
             break
         point, live = over
@@ -206,6 +250,8 @@ def ssa_spill_allocate(fn: Function, k: int,
             break  # only untouchable values left; leave it to phase 2
         current, next_vreg, temps = insert_spill_code(
             current, {victim}, slots, next_vreg)
+        for live in live_out.values():
+            live.discard(victim)
         no_spill |= temps
         spilled.add(victim)
         rounds += 1

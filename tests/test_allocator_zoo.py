@@ -178,3 +178,15 @@ class TestDifferentialEquivalence:
             failures.extend(
                 dict(f, seed=seed) for f in outcome["failures"])
         assert not failures, failures[:3]
+
+
+def test_bench_allocators_records_compile_seconds():
+    from repro.benchtrack import bench_allocators
+
+    doc = bench_allocators(n_workloads=1, remap_restarts=1)
+    for setup in SETUPS:
+        totals = doc["totals"][setup]
+        assert sorted(totals) == ["compile_s", "cycles", "instructions",
+                                  "setlr", "spills"]
+        assert totals["compile_s"] > 0.0
+    assert all("compile_s" not in row for row in doc["results"])

@@ -120,6 +120,14 @@ class TestMibenchCorpus:
             assert_same_interference(
                 _build_interference_ref(fn, None, None, "int"), g)
 
+    def test_bits_only_kernel(self, views):
+        _, bits = batched._liveness_kernel(views, np)
+        infos, rows = batched._liveness_kernel(views, np, bits_only=True)
+        assert infos is None
+        assert len(rows) == len(bits)
+        for a, b in zip(rows, bits):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     @pytest.mark.parametrize("order", ORDERS)
     def test_adjacency_kernel(self, mibench_fns, views, order):
         for freqs in ([None] * len(views),
