@@ -35,7 +35,6 @@ from repro.analysis.cache import (
     set_analysis_cache_enabled,
 )
 from repro.analysis.ssa import Phi, SSAForm, construct_ssa, destruct_ssa
-from repro.analysis.webs import split_webs
 
 __all__ = [
     "DataflowProblem",
@@ -69,7 +68,6 @@ __all__ = [
     "build_adjacency",
     "batched_liveness",
     "prewarm_corpus",
-    "split_webs",
     "analysis_cache_stats",
     "clear_analysis_cache",
     "set_analysis_cache_enabled",

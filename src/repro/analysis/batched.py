@@ -61,9 +61,6 @@ def _bases(sizes: List[int]) -> List[int]:
     return base
 
 
-# bit positions set in each byte value, for bitset decoding
-_BITS = [tuple(b for b in range(8) if v >> b & 1) for v in range(256)]
-
 # the adjacency value shared by every edgeless interference node.  A
 # module-level singleton (rather than one per kernel run) lets views
 # memoize their per-class node seed dicts (:meth:`ColumnarFunction.

@@ -534,13 +534,11 @@ def _cmd_allocators(args) -> int:
                          indent=2, sort_keys=True))
         return 0
     table = Table(f"allocator zoo: {len(infos)} registered backends",
-                  ["name", "spill style", "diff", "ssa", "classes",
-                   "description"])
+                  ["name", "spill style", "diff", "ssa", "description"])
     for info in infos:
         table.add_row(info.name, info.spill_style,
                       "yes" if info.differential else "no",
-                      "yes" if info.needs_ssa else "no",
-                      ",".join(info.reg_classes), info.description)
+                      "yes" if info.needs_ssa else "no", info.description)
     print(table.render())
     return 0
 
@@ -692,14 +690,14 @@ def _cmd_fuzz_moves(args) -> int:
 
 def _cmd_serve(args) -> int:
     from repro.service.server import ServiceServer
-    from repro.service.store import open_store
+    from repro.service.store import ArtifactStore, default_store_root
 
     jobs = _resolve_cli_jobs(args)
     if jobs is None:
         return 2
-    store = open_store(args.store or None, shards=args.store_shards,
-                       max_bytes=args.cache_bytes,
-                       hot_entries=args.hot_entries)
+    store = ArtifactStore(args.store or default_store_root(),
+                          max_bytes=args.cache_bytes,
+                          hot_entries=args.hot_entries)
     server = ServiceServer(
         args.host, args.port, store=store, jobs=jobs,
         queue_limit=args.queue_limit, max_batch=args.max_batch,
@@ -777,16 +775,13 @@ def _request_options(args) -> dict:
 
 
 def _cmd_cache(args) -> int:
-    from repro.service.store import open_store
+    from repro.service.store import ArtifactStore, default_store_root
 
-    store = open_store(args.store or None, shards=args.shards)
+    store = ArtifactStore(args.store or default_store_root())
     if args.cache_command == "stats":
         stats = store.stats()
         print(f"store {stats['root']}: {stats['entries']} artifact(s), "
               f"{stats['bytes']} / {stats['max_bytes']} bytes")
-        for shard in stats.get("shards", ()):
-            print(f"  shard {shard['root']}: {shard['entries']} "
-                  f"artifact(s), {shard['bytes']} bytes")
         return 0
     removed = store.clear()
     print(f"store {store.root}: removed {removed} artifact(s)")
@@ -1045,10 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", default="",
                    help="artifact store directory (default: "
                         "$REPRO_SERVICE_STORE or ~/.cache/repro/service)")
-    p.add_argument("--store-shards", type=int, default=1,
-                   help="split the store across N consistent-hash "
-                        "sharded directories (1 = single flat store); "
-                        "per-shard counters appear in /statsz")
     p.add_argument("--cache-bytes", type=int, default=64 * 1024 * 1024,
                    help="artifact store size cap; LRU-evicted beyond it")
     p.add_argument("--hot-entries", type=int, default=128,
@@ -1118,10 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store directory (default: "
                              "$REPRO_SERVICE_STORE or "
                              "~/.cache/repro/service)")
-        cp.add_argument("--shards", type=int, default=1,
-                        help="shard count the store was served with "
-                             "(stats/clear then cover every shard "
-                             "directory)")
         cp.set_defaults(func=_cmd_cache)
 
     p = sub.add_parser("service-smoke",

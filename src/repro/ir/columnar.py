@@ -351,10 +351,6 @@ class ColumnarFunction:
         """
         return self._cls_nodes_ids(cls)[0]
 
-    def node_ids_of_cls(self, cls: str) -> List[int]:
-        """Local register-table ids of :meth:`nodes_of_cls`, aligned."""
-        return self._cls_nodes_ids(cls)[1]
-
     def cls_seed(self, cls: str, empty) -> dict:
         """A dict mapping every :meth:`nodes_of_cls` register to
         ``empty``, memoized on the view.

@@ -3,7 +3,6 @@
 Allocators
 ----------
 
-* :mod:`repro.regalloc.chaitin` — classic Chaitin-Briggs coloring.
 * :mod:`repro.regalloc.iterated` — George-Appel iterated register coalescing,
   the paper's *baseline* (Section 10.1 replaces gcc's allocator with it).
 * :mod:`repro.regalloc.optimal_spill` — Appel-George optimal spilling
@@ -33,9 +32,7 @@ from repro.regalloc.base import (
     spill_cost_estimates,
 )
 from repro.regalloc.spill import insert_spill_code
-from repro.regalloc.chaitin import chaitin_allocate
 from repro.regalloc.iterated import iterated_allocate
-from repro.regalloc.linearscan import linear_scan_allocate
 from repro.regalloc.remap import RemapResult, differential_remap, exhaustive_remap
 from repro.regalloc.diff_select import DifferentialSelector
 from repro.regalloc.optimal_spill import optimal_spill_allocate
@@ -52,8 +49,6 @@ from repro.regalloc.callconv import (
     check_convention,
     remap_with_convention,
 )
-from repro.regalloc.multiclass import MultiClassResult, allocate_classes
-from repro.regalloc.slotalloc import coalesce_spill_slots
 
 __all__ = [
     "SelectiveResult",
@@ -61,17 +56,12 @@ __all__ = [
     "CallingConvention",
     "check_convention",
     "remap_with_convention",
-    "MultiClassResult",
-    "allocate_classes",
-    "coalesce_spill_slots",
     "AllocationError",
     "AllocationResult",
     "check_allocation",
     "spill_cost_estimates",
     "insert_spill_code",
-    "chaitin_allocate",
     "iterated_allocate",
-    "linear_scan_allocate",
     "RemapResult",
     "differential_remap",
     "exhaustive_remap",

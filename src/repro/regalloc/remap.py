@@ -86,10 +86,6 @@ class RemapResult:
     cost_after: float
     restarts: int = 1
 
-    @property
-    def improvement(self) -> float:
-        return self.cost_before - self.cost_after
-
 
 def _edge_list(fn: Function, reg_n: int, order: str,
                freq: Optional[Mapping[str, float]]) -> List[Edge]:
@@ -296,11 +292,6 @@ class ExactRemapResult:
     nodes: int = 0          # branch-and-bound tree nodes explored
     pruned: int = 0         # subtrees cut by the admissible bound
     memo_size: int = 0      # distinct h(mask) subproblems solved
-
-    @property
-    def improvement(self) -> float:
-        """Cost removed relative to the incoming register numbering."""
-        return self.cost_before - self.cost_after
 
 
 def exact_remap(fn: Function, reg_n: int, diff_n: int,

@@ -219,9 +219,11 @@ def ssa_spill_allocate(fn: Function, k: int,
 
     ``freq`` is accepted for signature parity with the other backends;
     Belady's rule is frequency-oblivious by design.  Raises
-    :class:`AllocationError` if spilling cannot reach a colorable state
-    within the round budget.
+    :class:`ValueError` for ``k < 1`` and :class:`AllocationError` if
+    spilling cannot reach a colorable state within the round budget.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     ssa = construct_ssa(fn)
     current = destruct_ssa(ssa)
 

@@ -31,7 +31,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.diagnostics import (Diagnostic, DiagnosticReport, FormatError,
-                               Location, Severity, check_format_version)
+                               check_format_version)
 from repro.machine.spec import LOWEND, LowEndConfig
 from repro.regalloc.pipeline import SETUPS
 
@@ -347,10 +347,3 @@ def protocol_error_response(exc: ProtocolError) -> Dict[str, object]:
     """Envelope for a caught :class:`ProtocolError`."""
     return error_response(exc.code, exc.message, exc.diagnostics,
                           exc.retry_after)
-
-
-def diagnostic_for_exception(message: str, file: Optional[str] = None
-                             ) -> Diagnostic:
-    """A bare ERROR diagnostic for failures with no structured origin."""
-    return Diagnostic(rule="SVC00", name="service", severity=Severity.ERROR,
-                      message=message, location=Location(file=file))

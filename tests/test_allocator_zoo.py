@@ -10,7 +10,7 @@ the symbolic checker, the interference lint and the binary round trip
 
 import pytest
 
-from repro.fuzz import FuzzConfig, run_case
+from repro.fuzz import run_case
 from repro.fuzz.harness import case_seed, default_config
 from repro.ir import Interpreter
 from repro.regalloc import (PAPER_SETUPS, SETUPS, run_setup,
@@ -45,10 +45,7 @@ class TestRegistry:
         assert by_name["ssa_spill"].needs_ssa
         assert by_name["ssa_spill"].spill_style == "everywhere"
         for info in by_name.values():
-            assert info.reg_classes == ("int",)
-            doc = info.to_dict()
-            assert doc["name"] == info.name
-            assert isinstance(doc["reg_classes"], list)
+            assert info.to_dict()["name"] == info.name
 
     def test_get_unknown_names_the_known(self):
         with pytest.raises(KeyError, match="baseline"):
@@ -141,6 +138,12 @@ class TestSSABackendDirect:
             result = ssa_spill_allocate(fn, k)
             got = Interpreter().run(result.fn, (4,)).return_value
             assert got == ref, f"k={k}"
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_invalid_k_rejected_up_front(self, sum_fn, k):
+        # same contract as iterated_allocate: no spill rounds are run
+        with pytest.raises(ValueError, match="k must be positive"):
+            ssa_spill_allocate(sum_fn, k)
 
     def test_stats_exported(self):
         result = ssa_spill_allocate(make_pressure_fn(seed=6), 8)

@@ -1,4 +1,4 @@
-"""Chaitin and iterated-register-coalescing allocator tests."""
+"""Iterated-register-coalescing allocator tests."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import build_interference
 from repro.ir import Interpreter, parse_function, vreg
 from repro.regalloc import (
     AllocationError,
-    chaitin_allocate,
     check_allocation,
     iterated_allocate,
     spill_cost_estimates,
@@ -15,7 +14,7 @@ from repro.regalloc.iterated import ColorSelector
 
 from tests.conftest import make_pressure_fn
 
-ALLOCATORS = [chaitin_allocate, iterated_allocate]
+ALLOCATORS = [iterated_allocate]
 
 
 @pytest.mark.parametrize("allocate", ALLOCATORS)

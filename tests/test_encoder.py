@@ -9,12 +9,39 @@ from repro.encoding import (
     verify_encoding,
 )
 from repro.encoding.encoder import setlr_payload
-from repro.ir import Instr, parse_function
+from repro.ir import FunctionBuilder, Instr, Interpreter, parse_function
+from repro.regalloc import iterated_allocate
 
 
 def straight(*lines):
     body = "\n".join(f"    {l}" for l in lines)
     return parse_function(f"func f():\nentry:\n{body}\n    ret r0\n")
+
+
+def mixed_kernel(n_int=6, n_float=5):
+    """A loop with live int and float values (paper Section 9.1)."""
+    fb = FunctionBuilder("mixed")
+    n = fb.vreg()
+    fb.params = (n,)
+    fb.block("entry")
+    ints = fb.vregs(n_int)
+    floats = [fb.vreg("float") for _ in range(n_float)]
+    for i, v in enumerate(ints):
+        fb.li(v, i + 1)
+    for i, v in enumerate(floats):
+        fb.emit(Instr("li", dst=v, imm=10 * (i + 1)))
+    fb.block("loop")
+    fb.add(ints[0], ints[1], ints[2])
+    fb.emit(Instr("add", dst=floats[0], srcs=(floats[1], floats[2])))
+    fb.emit(Instr("mul", dst=floats[3], srcs=(floats[0], floats[4])))
+    fb.add(ints[3], ints[0], ints[4])
+    fb.addi(ints[5], ints[5], 1)
+    fb.blt(ints[5], n, "loop")
+    fb.block("exit")
+    out = fb.vreg()
+    fb.add(out, ints[3], ints[0])
+    fb.ret(out)
+    return fb.build()
 
 
 class TestStraightLine:
@@ -191,6 +218,23 @@ entry:
         cfg = EncodingConfig(reg_n=8, diff_n=4, classes=("int",))
         enc = encode_function(fn, cfg)
         verify_encoding(enc)
+
+    def test_mixed_kernel_allocated_and_encoded_per_class(self):
+        # each class gets its own register file and its own last_reg:
+        # allocate the classes one after another, then encode both
+        fn = mixed_kernel()
+        ref = Interpreter().run(fn, (9,)).return_value
+        allocated = fn
+        for cls in sorted({r.cls for r in fn.registers() if r.virtual}):
+            allocated = iterated_allocate(allocated, 8, cls=cls).fn
+        assert all(not r.virtual for r in allocated.registers())
+        assert {r.cls for r in allocated.registers()} == {"int", "float"}
+        assert all(r.id < 8 for r in allocated.registers())
+        cfg = EncodingConfig(reg_n=8, diff_n=4, classes=("int", "float"))
+        enc = encode_function(allocated, cfg)
+        verify_encoding(enc)
+        assert Interpreter().run(allocated, (9,)).return_value == ref
+        assert Interpreter().run(enc.fn, (9,)).return_value == ref
 
     def test_setlr_payload_normalisation(self):
         assert setlr_payload(Instr("setlr", imm=(3, 1))) == (3, 1, "int")

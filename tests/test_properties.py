@@ -10,7 +10,6 @@ The big ones:
 * remapping preserves both allocation validity and semantics.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tests.conftest import fuzz_programs, synth_programs
@@ -23,12 +22,12 @@ from repro.encoding import (
     verify_encoding,
 )
 from repro.fuzz import check_allocation_semantics
-from repro.ir import Interpreter, Reg
+from repro.ir import Interpreter
 from repro.regalloc import (
-    chaitin_allocate,
     differential_remap,
     iterated_allocate,
     optimal_spill_allocate,
+    ssa_spill_allocate,
 )
 from repro.regalloc.diff_select import DifferentialSelector
 
@@ -68,10 +67,12 @@ class TestAllocatorSemantics:
     @given(fn=synth_programs(), k=st.integers(min_value=5, max_value=16),
            arg=st.integers(min_value=0, max_value=4))
     @settings(max_examples=25, **COMMON)
-    def test_chaitin_preserves_semantics(self, fn, k, arg):
+    def test_ssa_spill_preserves_semantics(self, fn, k, arg):
         ref = Interpreter().run(fn, (arg,)).return_value
-        res = chaitin_allocate(fn, k)
+        res = ssa_spill_allocate(fn, k)
         assert Interpreter().run(res.fn, (arg,)).return_value == ref
+        assert all(not r.virtual for r in res.fn.registers())
+        assert all(r.id < k for r in res.fn.registers())
 
     @given(fn=synth_programs(), arg=st.integers(min_value=0, max_value=3))
     @settings(max_examples=12, **COMMON)
@@ -79,17 +80,6 @@ class TestAllocatorSemantics:
         ref = Interpreter().run(fn, (arg,)).return_value
         res = optimal_spill_allocate(fn, 8)
         assert Interpreter().run(res.fn, (arg,)).return_value == ref
-
-    @given(fn=synth_programs(), k=st.integers(min_value=5, max_value=16),
-           arg=st.integers(min_value=0, max_value=4))
-    @settings(max_examples=25, **COMMON)
-    def test_linear_scan_preserves_semantics(self, fn, k, arg):
-        from repro.regalloc import linear_scan_allocate
-
-        ref = Interpreter().run(fn, (arg,)).return_value
-        res = linear_scan_allocate(fn, k)
-        assert Interpreter().run(res.fn, (arg,)).return_value == ref
-        assert all(r.id < k for r in res.fn.registers())
 
 
 class TestEncodingSoundness:

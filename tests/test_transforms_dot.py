@@ -1,112 +1,9 @@
-"""Tests for IR cleanup transforms and DOT export."""
-
-import pytest
+"""Tests for DOT export."""
 
 from repro.analysis import build_adjacency, build_interference
 from repro.analysis.dot import adjacency_to_dot, cfg_to_dot, interference_to_dot
-from repro.ir import Interpreter, parse_function, vreg
-from repro.ir.transforms import cleanup, copy_propagation, dead_code_elimination
+from repro.ir import parse_function
 from repro.regalloc import iterated_allocate
-
-
-class TestDCE:
-    def test_dead_value_removed(self):
-        fn = parse_function("""
-func f():
-entry:
-    li v1, 1
-    li v2, 99
-    ret v1
-""")
-        out, removed = dead_code_elimination(fn)
-        assert removed == 1
-        assert out.num_instructions() == 2
-
-    def test_transitively_dead_chain(self):
-        fn = parse_function("""
-func f():
-entry:
-    li v1, 1
-    addi v2, v1, 1
-    addi v3, v2, 1
-    li v9, 7
-    ret v9
-""")
-        out, removed = dead_code_elimination(fn)
-        assert removed == 3
-
-    def test_stores_always_kept(self):
-        fn = parse_function("""
-func f():
-entry:
-    li v1, 64
-    li v2, 5
-    st v2, [v1+0]
-    ret v1
-""")
-        out, removed = dead_code_elimination(fn)
-        assert removed == 0
-
-    def test_semantics_preserved(self, pressure_fn):
-        ref = Interpreter().run(pressure_fn, (4,)).return_value
-        out, _ = dead_code_elimination(pressure_fn)
-        assert Interpreter().run(out, (4,)).return_value == ref
-
-    def test_loop_carried_values_kept(self, sum_fn):
-        out, removed = dead_code_elimination(sum_fn)
-        assert removed == 0
-
-
-class TestCopyPropagation:
-    def test_simple_forwarding(self):
-        fn = parse_function("""
-func f(v0):
-entry:
-    mov v1, v0
-    addi v2, v1, 1
-    ret v2
-""")
-        out, rewritten = copy_propagation(fn)
-        assert rewritten == 1
-        instrs = list(out.instructions())
-        assert instrs[1].srcs == (vreg(0),)
-
-    def test_redefined_source_blocks_forwarding(self):
-        fn = parse_function("""
-func f(v0):
-entry:
-    mov v1, v0
-    addi v0, v0, 1
-    add v2, v1, v0
-    ret v2
-""")
-        out, rewritten = copy_propagation(fn)
-        # v1 still reads the OLD v0; forwarding would change semantics
-        ref = Interpreter().run(fn, (10,)).return_value
-        assert Interpreter().run(out, (10,)).return_value == ref
-
-    def test_chained_copies_collapse(self):
-        fn = parse_function("""
-func f(v0):
-entry:
-    mov v1, v0
-    mov v2, v1
-    ret v2
-""")
-        out, _ = copy_propagation(fn)
-        out, removed = dead_code_elimination(out)
-        assert removed == 2
-        assert out.num_instructions() == 1
-
-    def test_not_propagated_across_blocks(self, diamond_fn):
-        out, _ = copy_propagation(diamond_fn)
-        ref3 = Interpreter().run(diamond_fn, (3,)).return_value
-        assert Interpreter().run(out, (3,)).return_value == ref3
-
-    def test_cleanup_composition(self, pressure_fn):
-        ref = Interpreter().run(pressure_fn, (4,)).return_value
-        out, changes = cleanup(pressure_fn)
-        assert Interpreter().run(out, (4,)).return_value == ref
 
 
 class TestDotExport:
