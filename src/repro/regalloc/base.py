@@ -7,7 +7,6 @@ from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.analysis.frequency import estimate_block_frequencies
 from repro.analysis.interference import build_interference
-from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.instr import Reg
 

@@ -236,7 +236,6 @@ def differential_coalesce_allocate(fn: Function, k: int, diff_n: int,
         "coalesce_move_weight": stats.move_weight_removed,
         "coalesce_diff_weight": stats.diff_weight_removed,
         "join_splits": float(n_splits),
-        "ospill_objective": plan.objective,
-        "ospill_solver": 1.0 if plan.solver == "ilp" else 0.0,
     })
+    result.stats.update(plan.as_stats())
     return result

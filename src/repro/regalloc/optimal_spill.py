@@ -14,8 +14,13 @@ the graph.  We reproduce that structure:
    transitions; codegen later skips the write-back of clean values).
    Solved exactly with ``scipy.optimize.milp`` (HiGHS) — the authors used
    CPLEX — with a greedy spill-everywhere fallback when scipy is
-   unavailable, the model is infeasible, or the normal-form model below
-   has more than ``max_ilp_vars`` columns.
+   unavailable, the normal-form model below has more than
+   ``max_ilp_vars`` columns, forced residents alone overfill a point, or
+   HiGHS fails (infeasible model, 60 s time limit).  The plan records
+   which: ``route`` is ``"lp"`` or ``"branch"`` for an exact plan and
+   ``fallback`` names the reason for a greedy one
+   (:data:`FALLBACK_REASONS`); both allocators copy them into
+   ``AllocationResult.stats``.
 
    The ILP is posed in a *segment normal form* rather than with one
    binary per live point.  A reload can always move later, up to the next
@@ -34,9 +39,33 @@ the graph.  We reproduce that structure:
    function without one is all-resident without calling the solver.
    Expansion copies each ``m`` over its interior, so stores land right
    after ``p`` and reloads right before ``q``.  Zero-frequency code costs
-   nothing, so the solver may spill there for free; one deterministic
+   nothing, so an optimum may spill there for free; one deterministic
    sweep then turns on, in order, every spilled zero-weight segment with
    both ends resident whose over-pressure interior points still have room.
+
+   The objective is *tie-free*, so the plan is a property of the model
+   and not of where the solver's search stops among tied optima (nor of
+   column order or the scipy version).  Primary weights are integers:
+   block frequencies times load/store costs, scaled by 720720 (as
+   :mod:`repro.regalloc.remap` scales its edge weights) and divided by
+   their gcd, so static ``10**depth`` weights and profile counts keep
+   their values.  Each column then gets a key below the primary's
+   granularity, ``c' = c*M + key`` with ``M`` above the summed ``|key|``:
+   column ``i`` of ``n`` has key ``-(n - i)``, so among plans of equal
+   primary cost the key prefers residence, earlier columns weighing
+   more.  Two plans still tie only when their resident columns have the
+   same key sum; ``tests/test_ospill_lp_first.py`` finds one plan per
+   model under column shuffles and under branch-and-bound on every
+   MiBench and zoo model.  ``c'`` is asserted to be exact in float64.
+
+   The model is solved LP-first: one ``milp`` call with ``integrality=0``
+   solves the relaxation, and a vertex within 1e-6 of 0 or 1 everywhere
+   is the MIP optimum.  Only a fractional relaxation is branched on
+   (``integrality=1``, ``mip_rel_gap=0``, same objective).  Within a
+   block the relaxation is integral in practice: each column covers an
+   interval of consecutive points in the capacity rows.  The cross-block
+   equalities are what break it: removing them makes every fractional
+   model of the allocator-zoo corpus integral (docs/performance.md).
 
    One deliberate simplification versus Appel-George: residence may not
    change on a CFG *edge* (no edge splitting), so loads/stores live inside
@@ -67,14 +96,21 @@ from repro.ir.instr import Instr, Reg
 from repro.ir.trace import lazy_numpy
 from repro.regalloc.base import AllocationResult
 from repro.regalloc.iterated import ColorSelector, iterated_allocate
+from repro.regalloc.remap import _WEIGHT_SCALE
 from repro.regalloc.spill import SpillSlotAllocator
 
 __all__ = [
+    "FALLBACK_REASONS",
     "ResidencePlan",
     "decide_residence",
     "apply_residence",
     "optimal_spill_allocate",
 ]
+
+#: Why a greedy plan replaced the exact one: scipy is not installed, the
+#: model has more than ``max_ilp_vars`` columns, forced residents alone
+#: overfill some point, or HiGHS failed or hit its time limit.
+FALLBACK_REASONS = ("no_scipy", "max_ilp_vars", "overfull", "solver")
 
 
 @dataclass
@@ -87,6 +123,25 @@ class ResidencePlan:
     spilled: Set[Reg]
     objective: float
     solver: str
+    #: how an exact plan was solved: ``"lp"`` (the relaxation's vertex was
+    #: integral), ``"branch"`` (branch-and-bound), ``""`` (no solver call)
+    route: str = ""
+    #: why a greedy plan replaced the exact one (one of
+    #: :data:`FALLBACK_REASONS`); ``""`` for exact plans and for a greedy
+    #: plan the caller asked for
+    fallback: str = ""
+
+    def as_stats(self) -> Dict[str, float]:
+        """The plan's outcome as ``AllocationResult.stats`` entries."""
+        stats = {
+            "ospill_objective": self.objective,
+            "ospill_solver": 1.0 if self.solver == "ilp" else 0.0,
+            "ospill_lp": float(self.route == "lp"),
+            "ospill_branch": float(self.route == "branch"),
+        }
+        for reason in FALLBACK_REASONS:
+            stats[f"ospill_fallback_{reason}"] = float(self.fallback == reason)
+        return stats
 
     def is_resident(self, v: Reg, block: str, point: int) -> bool:
         """Whether ``v`` sits in a register at the given point.
@@ -157,17 +212,23 @@ def _forced_points(fn: Function) -> Set[Tuple[Reg, str, int]]:
 #: constant 1
 _FORCED = -1
 
+#: how far from 0 or 1 a relaxation value may sit and still count as
+#: integral (HiGHS's primal feasibility tolerance is 1e-7)
+_INTEGRAL_TOL = 1e-6
+
 
 def _solve_ilp(fn: Function, k: int, pts: _Points,
                freq: Mapping[str, float],
                forced: Set[Tuple[Reg, str, int]],
                load_cost: float, store_cost: float,
-               max_ilp_vars: int) -> Optional[ResidencePlan]:
+               max_ilp_vars: int) -> ResidencePlan | str:
+    """The exact plan, or the reason (one of :data:`FALLBACK_REASONS`)
+    there is none."""
     try:
         from scipy import sparse
         from scipy.optimize import Bounds, LinearConstraint, milp
     except ImportError:
-        return None
+        return "no_scipy"
     np = lazy_numpy()
 
     room = {pt: k - pts.phys[pt] for pt in pts.live_at}
@@ -177,7 +238,17 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     # a value live at no over-pressure point stays resident for free
     model: Set[Reg] = set().union(*(pts.live_at[pt] for pt in over))
 
-    cost: List[float] = []  # objective coefficient per column
+    # integer primary weights: exact multiples of 1/_WEIGHT_SCALE divided
+    # by their gcd, so integral frequencies (static 10**depth, profile
+    # counts) keep their own values
+    weights: Dict[str, Tuple[int, int]] = {}
+    for b in fn.blocks:
+        scaled = freq.get(b.name, 1.0) * _WEIGHT_SCALE
+        weights[b.name] = (round(scaled * store_cost),
+                           round(scaled * load_cost))
+    unit = math.gcd(*(q for pair in weights.values() for q in pair)) or 1
+
+    cost: List[int] = []  # primary objective coefficient per column
     anchors: Dict[Tuple[Reg, str, int], int] = {}
     # (v, block, p, q, column at p, column at q, m, block weight,
     #  over-pressure interior points)
@@ -187,13 +258,14 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     below: List[Tuple[int, int]] = []  # (m, x): m <= x
 
     def column() -> int:
-        cost.append(0.0)
+        cost.append(0)
         return len(cost) - 1
 
     for b in fn.blocks:
         name, instrs = b.name, b.instrs
         n = len(instrs)
         w = freq.get(name, 1.0)
+        ws, wl = (q // unit for q in weights[name])
         # v -> (point, column) of the last anchor on v's open charged
         # chain, and the over-pressure points passed since
         last: Dict[Reg, Tuple[int, int]] = {}
@@ -227,12 +299,12 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
                     if cp != _FORCED or not is_forced or j - p > 1:
                         # w*s*(x_p - m) + w*l*(x_q - m)
                         m = column()
-                        cost[m] -= w * (store_cost + load_cost)
+                        cost[m] -= ws + wl
                         if cp != _FORCED:
-                            cost[cp] += w * store_cost
+                            cost[cp] += ws
                             below.append((m, cp))
                         if not is_forced:
-                            cost[col] += w * load_cost
+                            cost[col] += wl
                             below.append((m, col))
                         for ip in interior:
                             cap[ip].append(m)
@@ -244,7 +316,7 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
 
     n_cols = len(cost)
     if n_cols > max_ilp_vars:
-        return None
+        return "max_ilp_vars"
 
     # capacity rows; rows over the same columns keep the tightest bound.
     # Every over-pressure point has more live values than room, so none
@@ -253,7 +325,7 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     for pt in over:
         rhs = room[pt] - fixed[pt]
         if rhs < 0:
-            return None  # forced residents alone overfill the point
+            return "overfull"  # forced residents alone overfill the point
         key = tuple(sorted(cap[pt]))
         merged[key] = min(rhs, merged.get(key, rhs))
 
@@ -297,20 +369,34 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
     for a, c in equal:
         add_row(((a, 1.0), (c, -1.0)), 0.0, 0.0)
 
+    # Tie-free objective c' = c*spread + key (module docstring): the key
+    # prefers residence, column i by n_cols - i, and spread exceeds the
+    # summed |key|, so the key only orders plans of equal primary cost
+    spread = n_cols * (n_cols + 1) // 2 + 1
+    keyed = [c * spread - (n_cols - i) for i, c in enumerate(cost)]
+    assert max(map(abs, keyed)) < 2 ** 53, "keyed objective inexact"
+
     var_lb = np.zeros(n_cols)
     var_lb[sorted(ones)] = 1.0
-    res = milp(
-        c=np.array(cost),
+    problem = dict(
+        c=np.array(keyed, dtype=float),
         constraints=LinearConstraint(
             sparse.csr_matrix((vals, (rows, cols)),
                               shape=(len(lb), n_cols)),
             np.array(lb), np.array(ub)),
         bounds=Bounds(var_lb, np.ones(n_cols)),
-        integrality=np.ones(n_cols),
-        options={"time_limit": 60.0},
     )
+    # LP first: an integral vertex of the relaxation is the MIP optimum
+    route = "lp"
+    res = milp(**problem, integrality=np.zeros(n_cols),
+               options={"time_limit": 60.0})
+    if (res.success and res.x is not None
+            and np.abs(res.x - np.round(res.x)).max() > _INTEGRAL_TOL):
+        route = "branch"
+        res = milp(**problem, integrality=np.ones(n_cols),
+                   options={"time_limit": 60.0, "mip_rel_gap": 0.0})
     if not res.success or res.x is None:
-        return None
+        return "solver"
     x = (res.x > 0.5).tolist()
 
     def resident(col: int) -> bool:
@@ -358,7 +444,7 @@ def _solve_ilp(fn: Function, k: int, pts: _Points,
                 terms.append(w * store_cost)
             if resident(cq):
                 terms.append(w * load_cost)
-    return ResidencePlan(residence, spilled, math.fsum(terms), "ilp")
+    return ResidencePlan(residence, spilled, math.fsum(terms), "ilp", route)
 
 
 # ----------------------------------------------------------------------
@@ -486,12 +572,16 @@ def decide_residence(fn: Function, k: int,
     liveness = compute_liveness(fn)
     pts = _Points.build(fn, liveness)
     forced = _forced_points(fn)
+    fallback = ""
     if use_ilp:
-        plan = _solve_ilp(fn, k, pts, freq, forced, load_cost, store_cost,
-                          max_ilp_vars)
-        if plan is not None:
-            return plan
-    return _solve_greedy(fn, k, pts, freq, forced)
+        exact = _solve_ilp(fn, k, pts, freq, forced, load_cost, store_cost,
+                           max_ilp_vars)
+        if isinstance(exact, ResidencePlan):
+            return exact
+        fallback = exact
+    plan = _solve_greedy(fn, k, pts, freq, forced)
+    plan.fallback = fallback
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -731,8 +821,7 @@ def optimal_spill_allocate(fn: Function, k: int,
         split_fn, _ = apply_residence(fn, plan)
         result = iterated_allocate(split_fn, k, selector=selector,
                                    freq=dict(freq))
-        result.stats["ospill_objective"] = plan.objective
-        result.stats["ospill_solver"] = 1.0 if plan.solver == "ilp" else 0.0
+        result.stats.update(plan.as_stats())
         result.stats["ospill_spilled_ranges"] = float(len(plan.spilled))
         result.stats["ospill_budget"] = float(budget)
         return result

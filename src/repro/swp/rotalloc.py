@@ -21,7 +21,7 @@ anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.machine.spec import VLIW, VLIWConfig
